@@ -271,12 +271,15 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 
 	for _, sz := range permSizes {
 		g := debruijn.DeBruijn(sz.d, sz.D)
-		nw, err := simnet.New(g, simnet.NewTableRouter(g), simnet.DefaultConfig())
+		nw, err := simnet.NewNetwork(g, simnet.WithRouting(simnet.TableRouting))
 		if err != nil {
 			return nil, err
 		}
 		pkts := simnet.Permutation(g.N(), 1)
-		probe := nw.Run(pkts)
+		probe, err := nw.RunOpts(simnet.Fixed(pkts))
+		if err != nil {
+			return nil, err
+		}
 		specs = append(specs, spec{
 			name:      fmt.Sprintf("permutation/B(%d,%d)", sz.d, sz.D),
 			nodes:     g.N(),
@@ -284,7 +287,7 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 			fn: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					nw.Run(pkts)
+					_, _ = nw.RunOpts(simnet.Fixed(pkts)) // the probe run above already succeeded on these inputs
 				}
 			},
 			metrics: func() (map[string]int64, error) {
@@ -322,7 +325,10 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 			if err != nil {
 				return nil, err
 			}
-			probe := nw.Run(pkts)
+			probe, err := nw.RunOpts(simnet.Fixed(pkts))
+			if err != nil {
+				return nil, err
+			}
 			specs = append(specs, spec{
 				name:      fmt.Sprintf("%s/B(%d,%d)", rt.family, sz.d, sz.D),
 				nodes:     g.N(),
@@ -330,7 +336,7 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 				fn: func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						nw.Run(pkts)
+						_, _ = nw.RunOpts(simnet.Fixed(pkts)) // the probe run above already succeeded on these inputs
 					}
 				},
 			})
@@ -445,7 +451,16 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 
 	fg := debruijn.DeBruijn(faultD, faultDiam)
 	fRouter := simnet.NewTableRouter(fg)
-	probeFault, err := simnet.DegradationSweep(fg, fRouter, faultRates, faultPackets, 5, 0)
+	// Each timed sweep builds its own Network (and so its distance
+	// slab) over the shared router, as a one-off sweep would.
+	faultSweep := func() ([]simnet.DegradationPoint, error) {
+		fnw, err := simnet.NewNetwork(fg, simnet.WithRouter(fRouter))
+		if err != nil {
+			return nil, err
+		}
+		return fnw.DegradationSweep(faultRates, faultPackets, 5, 0)
+	}
+	probeFault, err := faultSweep()
 	if err != nil {
 		return nil, err
 	}
@@ -460,13 +475,13 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 		fn: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := simnet.DegradationSweep(fg, fRouter, faultRates, faultPackets, 5, 0); err != nil {
+				if _, err := faultSweep(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		},
 		metrics: func() (map[string]int64, error) {
-			fnw, err := simnet.New(fg, fRouter, simnet.DefaultConfig())
+			fnw, err := simnet.NewNetwork(fg, simnet.WithRouter(fRouter))
 			if err != nil {
 				return nil, err
 			}
@@ -498,7 +513,7 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 		satPackets = 200
 	}
 	sg := debruijn.DeBruijn(satD, satDiam)
-	snw, err := simnet.New(sg, simnet.NewTableRouter(sg), simnet.DefaultConfig())
+	snw, err := simnet.NewNetwork(sg, simnet.WithRouting(simnet.TableRouting))
 	if err != nil {
 		return nil, err
 	}

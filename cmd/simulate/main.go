@@ -188,18 +188,16 @@ func main() {
 	}
 	fmt.Println()
 	nw.Observe(rec)
-	var res simnet.Result
-	if opts := overloadOpts(*qcap, *holdBudget, *admit); len(opts) > 0 {
-		rep, err := nw.RunOpts(simnet.Fixed(pkts), opts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simulate:", err)
-			os.Exit(1)
-		}
-		res = rep.Result
+	opts := overloadOpts(*qcap, *holdBudget, *admit)
+	rep, err := nw.RunOpts(simnet.Fixed(pkts), opts...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simulate:", err)
+		os.Exit(1)
+	}
+	res := rep.Result
+	if len(opts) > 0 {
 		fmt.Printf("overload: shed=%d dropQueueFull=%d holds=%d peakResident=%d\n",
 			res.Shed, res.DroppedQueueFull, res.Holds, res.PeakResident)
-	} else {
-		res = nw.Run(pkts)
 	}
 	fmt.Printf("result:   %v\n", res)
 	if allPairs {
@@ -263,7 +261,7 @@ func runDegradation(topo string, d, diam int, rateList string, packets int, seed
 	fmt.Printf("topology: %s — %d nodes, %d arcs\n", name, g.N(), g.M())
 	reportRouter(router)
 	fmt.Printf("degradation sweep: %d packets/point, seed %d\n\n", packets, seed)
-	nw, err := simnet.New(g, router, simnet.DefaultConfig())
+	nw, err := simnet.NewNetwork(g, simnet.WithRouter(router))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
@@ -308,7 +306,7 @@ func runSaturation(topo string, d, diam int, multiples string, packets int, seed
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(2)
 	}
-	nw, err := simnet.New(g, router, simnet.DefaultConfig())
+	nw, err := simnet.NewNetwork(g, simnet.WithRouter(router))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
@@ -365,8 +363,7 @@ func runLensFault(d, diam, lens, packets int, seed int64, rec *obs.Recorder, met
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
-	res, err := m.RunWithFaults(simnet.UniformRandom(m.Nodes(), packets, seed),
-		plan, simnet.DefaultFaultConfig())
+	res, err := m.RunOpts(simnet.UniformLoad(packets), simnet.WithSeed(seed), simnet.WithFaults(plan))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)

@@ -37,13 +37,16 @@ func main() {
 }
 
 func runOn(name string, g *repro.Digraph, d int) {
-	nw, err := repro.NewNetwork(g, repro.NewTableRouter(g), repro.DefaultSimConfig())
+	nw, err := repro.NewNetworkOpts(g, repro.WithRouting(repro.TableRouting))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := nw.Run(repro.BroadcastWorkload(g.N(), 0))
+	res, err := nw.RunOpts(repro.BroadcastLoad(0))
+	if err != nil {
+		log.Fatal(err)
+	}
 	diam := g.Diameter()
-	fmt.Printf("%s: n=%d diameter=%d — broadcast %v\n", name, g.N(), diam, res)
+	fmt.Printf("%s: n=%d diameter=%d — broadcast %v\n", name, g.N(), diam, res.Result)
 	fmt.Printf("  lower bounds: distance %d, root bandwidth %d cycles\n",
 		diam, (g.N()-2)/d+1)
 }

@@ -38,12 +38,15 @@ func main() {
 	// Static surgery (the old experiment): remove the arc, rebuild the
 	// tables, rerun. This shows the residual GRAPH works…
 	faulty := b.RemoveArc(paths[0][0], paths[0][1])
-	nw, err := repro.NewNetwork(faulty, repro.NewTableRouter(faulty), repro.DefaultSimConfig())
+	nw, err := repro.NewNetworkOpts(faulty, repro.WithRouting(repro.TableRouting))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := nw.Run(repro.UniformRandomWorkload(b.N(), 1000, 11))
-	fmt.Printf("\nstatic surgery, arc (%d,%d) removed: %v\n", paths[0][0], paths[0][1], res)
+	res, err := nw.RunOpts(repro.UniformLoad(1000), repro.WithSeed(11))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nstatic surgery, arc (%d,%d) removed: %v\n", paths[0][0], paths[0][1], res.Result)
 	if res.Dropped != 0 {
 		log.Fatal("traffic was dropped despite 2-connectivity")
 	}
@@ -51,7 +54,7 @@ func main() {
 	// …but hardware does not pause for a rebuild. Runtime injection: the
 	// same arc dies at cycle 0 DURING the run, on the intact network, and
 	// the fault-aware router deflects around it mid-flight.
-	live, err := repro.NewNetwork(b, repro.NewTableRouter(b), repro.DefaultSimConfig())
+	live, err := repro.NewNetworkOpts(b, repro.WithRouting(repro.TableRouting))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,8 +66,7 @@ func main() {
 		}
 	}
 	plan := repro.NewFaultPlan().LinkDown(0, 0, paths[0][0], arcIndex)
-	fres, err := live.RunWithFaults(repro.UniformRandomWorkload(b.N(), 1000, 11),
-		plan, repro.DefaultFaultSimConfig())
+	fres, err := live.RunOpts(repro.UniformLoad(1000), repro.WithSeed(11), repro.WithFaults(plan))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,8 +94,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tres, err := m.RunWithFaults(repro.UniformRandomWorkload(m.Nodes(), 2000, 5),
-		transient, repro.DefaultFaultSimConfig())
+	tres, err := m.RunOpts(repro.UniformLoad(2000), repro.WithSeed(5), repro.WithFaults(transient))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,8 +109,7 @@ func main() {
 	}
 	rec := repro.NewRecorder(nil)
 	m.Observe(rec)
-	pres, err := m.RunWithFaults(repro.UniformRandomWorkload(m.Nodes(), 2000, 5),
-		permanent, repro.DefaultFaultSimConfig())
+	pres, err := m.RunOpts(repro.UniformLoad(2000), repro.WithSeed(5), repro.WithFaults(permanent))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -139,8 +139,7 @@ func main() {
 
 	// Degradation: how service decays as arcs die at random.
 	fmt.Println("\ndegradation sweep on B(3,3) (delivered fraction vs. per-arc fault rate):")
-	points, err := repro.DegradationSweep(b, repro.NewTableRouter(b),
-		[]float64{0, 0.05, 0.1, 0.2, 0.4, 0.7, 1}, 500, 3, 0)
+	points, err := live.DegradationSweep([]float64{0, 0.05, 0.1, 0.2, 0.4, 0.7, 1}, 500, 3, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

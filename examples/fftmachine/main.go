@@ -61,12 +61,15 @@ func main() {
 			id++
 		}
 	}
-	nw, err := repro.NewNetwork(h, repro.NewTableRouter(h), repro.DefaultSimConfig())
+	nw, err := repro.NewNetworkOpts(h, repro.WithRouting(repro.TableRouting))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := nw.Run(pkts)
-	fmt.Printf("one stage on the optical machine: %v\n", res)
+	res, err := nw.RunOpts(repro.FixedWorkload(pkts))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("one stage on the optical machine: %v\n", res.Result)
 	if res.MaxHops != 1 {
 		log.Fatalf("stage traffic not single-hop on the layout (max %d)", res.MaxHops)
 	}

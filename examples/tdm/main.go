@@ -39,7 +39,7 @@ func main() {
 	fmt.Println("  slot 0 verified collision-free (it is a permutation)")
 
 	// Bufferless deflection vs buffered store-and-forward.
-	pkts := repro.UniformRandomWorkload(m.Nodes(), 600, 21)
+	pkts := repro.UniformLoad(600).Packets(m.Nodes(), 21)
 	buffered, err := m.Run(pkts)
 	if err != nil {
 		log.Fatal(err)

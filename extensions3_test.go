@@ -38,7 +38,7 @@ func TestFacadeDeflection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res DeflectionResult = dn.Run(UniformRandomWorkload(g.N(), 200, 13))
+	var res DeflectionResult = dn.Run(UniformLoad(200).Packets(g.N(), 13))
 	if res.Delivered != 200 {
 		t.Fatalf("deflection: %v", res)
 	}

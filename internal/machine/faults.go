@@ -10,7 +10,8 @@ import (
 // cannot: which arcs share a lens. A lens fault — the physically likely
 // correlated failure of a free-space optical interconnect — is expanded
 // here from a lens number into its arc group via the OTIS layout, and
-// handed to the simnet fault engine as one scheduled event.
+// handed to the simnet fault engine as one scheduled event: run it with
+// RunOpts and simnet.WithFaults.
 
 // LensFaultPlan returns a fault plan downing the given lenses at cycle
 // start for duration cycles (duration <= 0: permanent). Lenses are
@@ -39,16 +40,9 @@ func (m *Machine) LensShadow(lens int) (silencedOut, silencedIn []int, err error
 	return m.Layout.LensShadow(lens)
 }
 
-// RunWithFaults executes a workload (physical ids) under the fault plan,
-// with fault-aware rerouting, bounded retries and TTL; see
-// simnet.FaultConfig for the knobs.
-func (m *Machine) RunWithFaults(pkts []simnet.Packet, plan *simnet.FaultPlan, cfg simnet.FaultConfig) (simnet.FaultResult, error) {
-	return m.net.RunWithFaults(pkts, plan, cfg)
-}
-
 // DegradationSweep measures delivered fraction, latency and reroutes on
 // the physical interconnect as the per-arc fault rate rises; see
-// simnet.DegradationSweep.
+// simnet.Network.DegradationSweep.
 func (m *Machine) DegradationSweep(rates []float64, packets int, seed int64, workers int) ([]simnet.DegradationPoint, error) {
 	return m.net.DegradationSweep(rates, packets, seed, workers)
 }

@@ -37,7 +37,7 @@ type Machine struct {
 
 	// net is the packet simulator over Physical, compiled once at Build:
 	// the routing slab, distance slab and scratch arenas are shared by
-	// every Run/Broadcast/RunWithFaults/DegradationSweep on this machine.
+	// every Run/Broadcast/RunOpts/DegradationSweep on this machine.
 	net *simnet.Network
 }
 
@@ -72,7 +72,7 @@ func Build(d, D int, pitch float64) (*Machine, error) {
 	for p, l := range toLogical {
 		toPhysical[l] = p
 	}
-	net, err := simnet.New(physical, simnet.NewTableRouter(physical), simnet.DefaultConfig())
+	net, err := simnet.NewNetwork(physical, simnet.WithRouting(simnet.TableRouting))
 	if err != nil {
 		return nil, fmt.Errorf("machine: simulator: %w", err)
 	}
@@ -134,7 +134,8 @@ func (m *Machine) VerifyRoutes(stride int) error {
 // Run executes a workload (physical ids) on the machine's packet
 // simulator with unit hop latency.
 func (m *Machine) Run(pkts []simnet.Packet) (simnet.Result, error) {
-	return m.net.Run(pkts), nil
+	rep, err := m.net.RunOpts(simnet.Fixed(pkts))
+	return rep.Result, err
 }
 
 // Broadcast runs a one-to-all broadcast from a physical root and returns

@@ -14,7 +14,7 @@ import (
 // shared failure domain) of a whole arc group.
 
 // Observe attaches a metrics recorder to the machine's packet simulator.
-// Subsequent Run/Broadcast/RunOpts/RunWithFaults calls record into it.
+// Subsequent Run/Broadcast/RunOpts calls record into it.
 // Passing nil detaches.
 func (m *Machine) Observe(rec *obs.Recorder) {
 	m.net.Observe(rec)

@@ -44,10 +44,7 @@ func randomChaosPlan(rng *rand.Rand, g interface {
 
 func TestChaosRandomFaultPlans(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		plan := randomChaosPlan(rng, g)
@@ -60,10 +57,11 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 				Release: rng.Intn(50),
 			}
 		}
-		res, events, err := nw.TracedRunWithFaults(pkts, plan, DefaultFaultConfig())
+		rep, err := nw.RunOpts(Fixed(pkts), WithFaults(plan), WithTrace())
 		if err != nil {
 			t.Fatalf("seed %d: run failed: %v", seed, err)
 		}
+		res, events := rep.FaultResult, rep.Events
 		if res.Delivered+res.Dropped != len(pkts) {
 			t.Fatalf("seed %d: delivered %d + dropped %d != offered %d (%v)",
 				seed, res.Delivered, res.Dropped, len(pkts), res)
@@ -79,10 +77,7 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 // detection, gossip and repair in the loop.
 func TestChaosSelfHealingInvariant(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		plan := randomChaosPlan(rng, g)

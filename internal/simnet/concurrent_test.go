@@ -18,10 +18,7 @@ import (
 // race report or as a diverging result.
 func TestConcurrentRunOptsSharedNetwork(t *testing.T) {
 	g := debruijn.DeBruijn(3, 4)
-	nw, err := NewNetwork(g, WithRouting(TableRouting))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	plan := NewFaultPlanFor(g).LinkDown(3, 12, 2, 1).NodeDown(7, 9, 5)
 
 	// Option variants covering every engine RunOpts dispatches to:
@@ -94,10 +91,7 @@ func TestConcurrentRunOptsSharedNetwork(t *testing.T) {
 // accounting. This is the invariant cmd/serve's scheduler builds on.
 func TestConcurrentSelfHealSessionsSharedNetwork(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := NewNetwork(g, WithRouting(TableRouting))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	const workers = 16
 	const runsPerSession = 3
 	var wg sync.WaitGroup

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/digraph"
 )
 
 // Degradation characterization: the fault-rate twin of LoadSweep. Each
@@ -40,18 +38,6 @@ func (p DegradationPoint) String() string {
 	return fmt.Sprintf("fault %.3f (%d arcs): delivered %d/%d (%.1f%%), latency %.2f, maxHops %d, reroutes %d, retries %d",
 		p.FaultRate, p.ArcsDown, p.Delivered, p.Offered, 100*p.DeliveredFraction,
 		p.MeanLatency, p.MaxHops, p.Reroutes, p.Retries)
-}
-
-// DegradationSweep measures the delivered fraction, latency and reroute
-// counts of a uniform workload as the per-arc fault rate rises; see the
-// Network method of the same name for the semantics. This free function
-// builds the Network and delegates.
-func DegradationSweep(g *digraph.Digraph, router Router, rates []float64, packets int, seed int64, workers int) ([]DegradationPoint, error) {
-	nw, err := New(g, router, DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return nw.DegradationSweep(rates, packets, seed, workers)
 }
 
 // DegradationSweep runs the fault-rate sweep on this network. Rates must
@@ -131,7 +117,7 @@ func (nw *Network) degradationPoint(rate float64, packets int, seed, point int64
 			}
 		}
 	}
-	res, err := nw.RunWithFaults(UniformRandom(g.N(), packets, seed), plan, DefaultFaultConfig())
+	res, _, err := nw.runFaults(UniformRandom(g.N(), packets, seed), plan, FaultConfig{}, false, nil, nw.rec)
 	if err != nil {
 		return DegradationPoint{}, err
 	}

@@ -21,10 +21,7 @@ func TestSeededRunIsByteIdentical(t *testing.T) {
 	runOnce := func() (string, []byte) {
 		t.Helper()
 		g := debruijn.DeBruijn(3, 5)
-		nw, err := New(g, NewTableRouter(g), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		nw := tableNet(t, g)
 		rec := obs.NewRecorder(obs.NewRegistry())
 		rep, err := nw.RunOpts(PermutationLoad(),
 			WithSeed(20260808), WithTrace(), WithRecorder(rec))

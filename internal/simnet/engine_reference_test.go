@@ -311,11 +311,11 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 			} else {
 				r = NewDeBruijnRouter(d, D)
 			}
-			a, err := New(g, r, cfg)
+			a, err := NewNetwork(g, WithRouter(r), WithConfig(cfg))
 			if err != nil {
 				return nil, nil, err
 			}
-			b, err := New(g, r, cfg)
+			b, err := NewNetwork(g, WithRouter(r), WithConfig(cfg))
 			return a, b, err
 		}
 	}

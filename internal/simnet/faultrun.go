@@ -6,19 +6,27 @@ import (
 	"repro/internal/obs"
 )
 
-// The fault-aware run loop. Structurally a store-and-forward simulation
-// like Network.Run, with three changes that make it survive a hostile
-// fault schedule instead of deadlocking:
+// The departure-routed run loop: the one engine behind fault runs
+// (RunOpts with WithFaults) and self-healing sessions (SelfHealing.Run).
+// Structurally a store-and-forward simulation like the plain kernel,
+// with three changes that make it survive a hostile fault schedule
+// instead of deadlocking:
 //
 //   - routing decisions are re-taken at departure time (not enqueue
-//     time) through a FaultAwareRouter, so a packet never commits to a
-//     link that has died while it was queued;
-//   - a packet that finds no live useful out-arc is requeued with
-//     exponential backoff a bounded number of times (transient faults
-//     heal; permanent ones eventually exhaust the retries) and then
-//     dropped with explicit accounting;
+//     time), so a packet never commits to a link that has died while it
+//     was queued;
+//   - a packet that finds no usable out-arc is requeued with exponential
+//     backoff a bounded number of times (transient faults heal;
+//     permanent ones eventually exhaust the retries) and then dropped
+//     with explicit accounting;
 //   - every packet carries a TTL (hop budget) so deflections under heavy
 //     transient faulting cannot loop forever.
+//
+// The two runs differ only in where link state comes from. An oracle
+// run (no session) routes through a FaultAwareRouter that reads the
+// compiled FaultState directly. A learned run (a SelfHealing session)
+// consults the FaultState only as physical truth and routes by what its
+// nodes have learned; see heal.go.
 //
 // Every loss path increments a named counter, and the exit path drains
 // whatever the cycle budget stranded (queued, in flight on a link, or
@@ -26,7 +34,10 @@ import (
 // Delivered + Dropped == Offered holds unconditionally — the invariant
 // the property tests exercise with adversarial release schedules.
 
-// FaultConfig tunes RunWithFaults. The zero value selects defaults.
+// FaultConfig tunes a fault run (WithFaultConfig) and, embedded in
+// HealConfig, a self-healing session. A zero field falls back to the
+// Network's Config where one exists (HopLatency, MaxCycles,
+// QueueCapacity, HoldBudget) and otherwise to its documented default.
 type FaultConfig struct {
 	// HopLatency is the wire time of one hop in cycles (0: 1).
 	HopLatency int
@@ -59,6 +70,24 @@ type FaultConfig struct {
 
 // DefaultFaultConfig returns the default fault-run tuning.
 func DefaultFaultConfig() FaultConfig { return FaultConfig{} }
+
+// faultConfig resolves c for a run on nw: zero fields take the
+// Network's Config, then the defaults of withDefaults.
+func (nw *Network) faultConfig(c FaultConfig) FaultConfig {
+	if c.HopLatency == 0 {
+		c.HopLatency = nw.cfg.HopLatency
+	}
+	if c.MaxCycles == 0 {
+		c.MaxCycles = nw.cfg.MaxCycles
+	}
+	if c.QueueCapacity == 0 {
+		c.QueueCapacity = nw.cfg.QueueCapacity
+	}
+	if c.HoldBudget == 0 {
+		c.HoldBudget = nw.cfg.HoldBudget
+	}
+	return c.withDefaults(nw.g.N(), nw.diameter())
+}
 
 func (c FaultConfig) withDefaults(n, diameter int) FaultConfig {
 	if c.HopLatency < 1 {
@@ -143,44 +172,43 @@ type pktMeta struct {
 	holds   int
 }
 
-// RunWithFaults simulates the workload under the fault plan. The
-// network's router is wrapped in a FaultAwareRouter; see FaultConfig for
-// the retry/TTL semantics. A nil plan degenerates to a fault-free run of
-// the fault engine (useful for differential tests).
-//
-// Deprecated: use RunOpts with WithFaults, which unifies the run entry
-// points behind functional options. RunWithFaults remains a thin
-// wrapper and is not going away.
-func (nw *Network) RunWithFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig) (FaultResult, error) {
-	res, _, err := nw.runWithFaults(packets, plan, cfg, false, nil, nw.rec)
-	return res, err
-}
-
-// TracedRunWithFaults is RunWithFaults with a full event log: inject,
-// depart, arrive, deliver, plus the fault-path kinds reroute and drop.
-// Unlike TracedRun, events are recorded live (fault decisions depend on
-// the cycle, so a shadow re-run cannot reconstruct them) and all carry
-// their cycle.
-//
-// Deprecated: use RunOpts with WithFaults and WithTrace. The method
-// remains a thin wrapper and is not going away.
-func (nw *Network) TracedRunWithFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig) (FaultResult, []Event, error) {
-	res, events, err := nw.runWithFaults(packets, plan, cfg, true, nil, nw.rec)
-	return res, events, err
-}
-
-func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (FaultResult, []Event, error) {
+// runFaults is the oracle run of RunOpts with WithFaults: the plan is
+// compiled and handed to the departure-routed loop without a session.
+func (nw *Network) runFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (FaultResult, []Event, error) {
 	state, err := plan.Compile(nw.g)
 	if err != nil {
 		return FaultResult{}, nil, err
 	}
-	// The fault-free distance slab is built once per Network and shared
-	// read-only; only the residual tables are per-router state.
-	router := newFaultAwareRouterShared(nw.g, nw.router, state, nw.distSlab())
+	res, events, err := nw.runDeparture(packets, state, nw.faultConfig(cfg), nil, traced, admit, rec)
+	return res.FaultResult, events, err
+}
+
+// runDeparture is the departure-routed cycle loop. cfg must already be
+// resolved (Network.faultConfig). The session s is the only switch
+// between the two runs it serves:
+//
+//   - s == nil, an oracle run: a FaultAwareRouter over state routes
+//     every departure, so a physically-down arc is never attempted. Only
+//     oracle runs are traced or admission-controlled.
+//   - s != nil, a learned run: cycles are offset by the session clock,
+//     each cycle opens with the session's monitor tick, recovery probes
+//     and gossip step, departures route by s.routeArc, and a
+//     transmission onto a physically-down arc fails with a NACK that
+//     feeds the tail's suspicion. The HealResult control-plane fields
+//     are filled in only for learned runs.
+func (nw *Network) runDeparture(packets []Packet, state *FaultState, cfg FaultConfig, s *SelfHealing, traced bool, admit *admitState, rec *obs.Recorder) (HealResult, []Event, error) {
+	var router *FaultAwareRouter
+	start := 0
+	if s == nil {
+		// The fault-free distance slab is built once per Network and
+		// shared read-only; only the residual tables are per-router state.
+		router = newFaultAwareRouterShared(nw.g, nw.router, state, nw.distSlab())
+	} else {
+		start = s.clock
+	}
 
 	n := nw.g.N()
 	guardIndexInt32(len(packets), "packets")
-	cfg = cfg.withDefaults(n, nw.diameter())
 	policy := newRetryPolicy(cfg)
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
@@ -203,10 +231,10 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 	}
 	meta := ar.metaFor(len(pkts))
 	// waiting[u] is the FIFO of packet indices held at node u; pipes are
-	// the per-arc link pipelines (flat by arcBase) as in Run. nodeBits
-	// (bit u ⇔ waiting[u] non-empty) and aBits (bit a ⇔ pipes[a]
-	// non-empty) let the per-cycle sweeps walk only active nodes and
-	// arcs, in the same ascending order as the historical full scans.
+	// the per-arc link pipelines (flat by arcBase). nodeBits (bit u ⇔
+	// waiting[u] non-empty) and aBits (bit a ⇔ pipes[a] non-empty) let
+	// the per-cycle sweeps walk only active nodes and arcs, in the same
+	// ascending order as the historical full scans.
 	waiting := ar.waiting
 	pipes := ar.pipes
 	nodeBits, aBits := ar.nodeBits, ar.aBits
@@ -218,7 +246,7 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 		}
 	}
 
-	res := FaultResult{}
+	res := HealResult{}
 	drop := func(i, cycle, node int, bucket *int, cause obs.DropCause) {
 		*bucket++
 		res.Dropped++
@@ -276,7 +304,12 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 
 	var cycle int
 	for cycle = 0; remaining > 0 && cycle <= maxCycles; cycle++ {
-		state.Advance(cycle)
+		state.Advance(start + cycle)
+		if s != nil {
+			if err := s.beginCycle(start+cycle, &res, rec); err != nil {
+				return res, nil, err
+			}
+		}
 		holdsBefore := res.Holds
 		if admit != nil {
 			admit.refill(heldLast)
@@ -397,9 +430,9 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 		}
 
 		// Departures: each node forwards its waiting packets in FIFO
-		// order; each live arc accepts one packet per cycle. busy marks
-		// are invalidated per node by bumping the arena's stamp token.
-		// Swept over the waiting-node bitmap in ascending node order —
+		// order; each arc accepts one attempt per cycle. busy marks are
+		// invalidated per node by bumping the arena's stamp token. Swept
+		// over the waiting-node bitmap in ascending node order —
 		// identical to the historical 0..n-1 scan over all nodes.
 		for w := range nodeBits {
 			wbits := nodeBits[w]
@@ -431,7 +464,12 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						resident--
 						continue
 					}
-					arc := router.NextArc(u, p.Dst)
+					var arc int
+					if s == nil {
+						arc = router.NextArc(u, p.Dst)
+					} else {
+						arc = s.routeArc(u, p.Dst, rec)
+					}
 					if arc < 0 {
 						if !policy.charge(&meta[i], cycle, p.ID) {
 							drop(i, cycle, u, &res.DroppedNoRoute, obs.DropNoRoute)
@@ -450,7 +488,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						keep = append(keep, i32) // link occupied this cycle: queue
 						continue
 					}
-					if next := nw.g.Out(u)[arc]; next != p.Dst && nodeFull(next) {
+					next := nw.g.Out(u)[arc]
+					if next != p.Dst && nodeFull(next) {
 						// Credit-based backpressure: the downstream node is
 						// full (delivery always absorbs), so the packet holds
 						// in place instead of deepening next's queue.
@@ -464,14 +503,31 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						continue
 					}
 					busy[arc] = token
-					if router.Primary(u, p.Dst) != arc {
+					if s != nil {
+						a := Arc{Tail: u, Index: arc}
+						if s.state.ArcDown(u, arc) {
+							// NACK: the attempt consumed the link slot and
+							// failed; the packet waits out the timeout.
+							if err := s.nack(a, start+cycle, &res, rec); err != nil {
+								return res, nil, err
+							}
+							meta[i].readyAt = cycle + s.cfg.DetectLatency
+							keep = append(keep, i32)
+							continue
+						}
+						delete(s.heal.suspicion, a)
+						if s.cfg.Monitor != nil {
+							s.cfg.Monitor.ArcOK(start+cycle, a)
+						}
+					}
+					if nw.router.NextArc(u, p.Dst) != arc {
 						res.Reroutes++
 						if rec != nil {
 							rec.Reroute()
 						}
-						emit(Event{Cycle: cycle, Kind: EventReroute, Packet: p.ID, Node: u, Peer: nw.g.Out(u)[arc]})
+						emit(Event{Cycle: cycle, Kind: EventReroute, Packet: p.ID, Node: u, Peer: next})
 					}
-					emit(Event{Cycle: cycle, Kind: EventDepart, Packet: p.ID, Node: u, Peer: nw.g.Out(u)[arc]})
+					emit(Event{Cycle: cycle, Kind: EventDepart, Packet: p.ID, Node: u, Peer: next})
 					flat := nw.arcBase[u] + int32(arc)
 					pipes[flat] = append(pipes[flat], inflight{pkt: i, ready: cycle + cfg.HopLatency})
 					aBits[flat>>6] |= 1 << (uint32(flat) & 63)
@@ -484,6 +540,9 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 		}
 
 		heldLast = res.Holds > holdsBefore
+	}
+	if s != nil {
+		s.clock = start + cycle
 	}
 
 	// Exit drain: the cycle budget ran out with work outstanding. Every
@@ -546,5 +605,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 		res.MeanHops = float64(res.TotalHops) / float64(res.Delivered)
 	}
 	res.Packets = pkts
+	if s != nil {
+		s.finish(&res, rec)
+	}
 	return res, events, nil
 }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,16 +12,6 @@ import (
 
 // Runtime fault engine tests: FaultPlan scheduling, the fault-aware run
 // loop, tracing under faults, and the degradation sweep.
-
-func faultNet(t *testing.T, d, D int) (*Network, *Network) {
-	t.Helper()
-	g := debruijn.DeBruijn(d, D)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nw, nw
-}
 
 func TestFaultPlanCompileErrors(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
@@ -92,13 +83,14 @@ func TestFaultStateSpans(t *testing.T) {
 	}
 }
 
-func TestRunWithFaultsMatchesFaultFree(t *testing.T) {
+func TestFaultRunMatchesFaultFree(t *testing.T) {
 	// With a nil plan the fault engine is just a (departure-time-routed)
-	// simulator: everything delivers with the same hop counts as Run.
-	nw, _ := faultNet(t, 2, 4)
+	// simulator: everything delivers with the same hop counts as a plain
+	// run.
+	nw := tableNet(t, debruijn.DeBruijn(2, 4))
 	pkts := UniformRandom(16, 300, 7)
-	base := nw.Run(pkts)
-	res, err := nw.RunWithFaults(pkts, nil, DefaultFaultConfig())
+	base := runFixed(t, nw, pkts).Result
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +103,123 @@ func TestRunWithFaultsMatchesFaultFree(t *testing.T) {
 	if res.TotalHops != base.TotalHops {
 		t.Errorf("hops diverged: %d vs %d", res.TotalHops, base.TotalHops)
 	}
+
+	// With an empty plan the oracle and the learned run see the same
+	// (fault-free) network, so a fresh self-healing session must match
+	// the fault run field for field: the fault engine is the heal engine
+	// with an oracle.
+	for _, sz := range []struct{ d, D int }{{2, 5}, {3, 4}, {3, 5}} {
+		g := debruijn.DeBruijn(sz.d, sz.D)
+		nw := tableNet(t, g)
+		for seed := int64(1); seed <= 5; seed++ {
+			pkts := UniformRandom(g.N(), 4*g.N(), seed)
+			fault := runFixed(t, nw, pkts, WithFaults(nil))
+			s, err := nw.SelfHeal(nil, HealConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			heal, err := s.Run(pkts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fault.FaultResult, heal.FaultResult) {
+				t.Fatalf("B(%d,%d) seed %d: empty-plan fault run %v != heal run %v",
+					sz.d, sz.D, seed, fault.FaultResult, heal.FaultResult)
+			}
+		}
+	}
+}
+
+// TestFaultAndHealRunsHonorNetworkConfig pins the config precedence of
+// the departure-routed engine: a per-run option beats a non-zero
+// FaultConfig field, which beats the Network's Config, which beats the
+// default. Fault and heal runs once resolved their tuning from the
+// FaultConfig alone and silently ran a WithHopLatency(3) network at
+// unit latency.
+func TestFaultAndHealRunsHonorNetworkConfig(t *testing.T) {
+	g := debruijn.DeBruijn(2, 4)
+
+	// Hop latency: one 3-hop packet takes 9 cycles in every engine.
+	slow, err := NewNetwork(g, WithHopLatency(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := []Packet{{ID: 0, Src: 0, Dst: 7}}
+	latency := func(name string, res FaultResult) {
+		t.Helper()
+		p := res.Packets[0]
+		if p.Hops != 3 || p.Delivered-p.Release != 9 {
+			t.Errorf("%s: hops %d latency %d, want 3 hops in 9 cycles", name, p.Hops, p.Delivered-p.Release)
+		}
+	}
+	latency("plain", runFixed(t, slow, one).FaultResult)
+	latency("fault", runFixed(t, slow, one, WithFaults(nil)).FaultResult)
+	s, err := slow.SelfHeal(nil, HealConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := s.Run(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latency("heal", hr.FaultResult)
+
+	// Queue bound, hold budget and cycle budget from the Network Config
+	// equal the same values given per run on a default network.
+	funnel := make([]Packet, 0, g.N()-1)
+	for i := 1; i < g.N(); i++ {
+		funnel = append(funnel, Packet{ID: i, Src: i, Dst: 0})
+	}
+	bounded, err := NewNetwork(g, WithConfig(Config{HopLatency: 1, QueueCapacity: 1, HoldBudget: 3, MaxCycles: 12}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := tableNet(t, g)
+	perRun := FaultConfig{QueueCapacity: 1, HoldBudget: 3, MaxCycles: 12}
+	want := runFixed(t, plain, funnel, WithFaultConfig(perRun))
+	if want.Holds == 0 {
+		t.Fatal("funnel produced no holds; the case does not exercise the queue bound")
+	}
+	if got := runFixed(t, bounded, funnel, WithFaults(nil)); !reflect.DeepEqual(got.FaultResult, want.FaultResult) {
+		t.Errorf("fault run ignored the Network Config:\n got %v\nwant %v", got.FaultResult, want.FaultResult)
+	}
+	healRun := func(nw *Network, cfg FaultConfig) FaultResult {
+		t.Helper()
+		s, err := nw.SelfHeal(nil, HealConfig{FaultConfig: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := s.Run(funnel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hr.FaultResult
+	}
+	if got, want := healRun(bounded, FaultConfig{}), healRun(plain, perRun); !reflect.DeepEqual(got, want) {
+		t.Errorf("heal run ignored the Network Config:\n got %v\nwant %v", got, want)
+	}
+
+	// A non-zero FaultConfig field beats the Network Config; a per-run
+	// option beats both.
+	wide := FaultConfig{QueueCapacity: 4, HoldBudget: 3, MaxCycles: 12}
+	want = runFixed(t, plain, funnel, WithFaultConfig(wide))
+	if got := runFixed(t, bounded, funnel, WithFaultConfig(FaultConfig{QueueCapacity: 4})); !reflect.DeepEqual(got.FaultResult, want.FaultResult) {
+		t.Errorf("FaultConfig field lost to the Network Config:\n got %v\nwant %v", got.FaultResult, want.FaultResult)
+	}
+	if got, want := healRun(bounded, FaultConfig{QueueCapacity: 4}), healRun(plain, wide); !reflect.DeepEqual(got, want) {
+		t.Errorf("heal FaultConfig field lost to the Network Config:\n got %v\nwant %v", got, want)
+	}
+	want = runFixed(t, plain, funnel, WithFaultConfig(perRun), WithQueueCapacity(2))
+	if got := runFixed(t, bounded, funnel, WithFaultConfig(FaultConfig{QueueCapacity: 4}), WithQueueCapacity(2)); !reflect.DeepEqual(got.FaultResult, want.FaultResult) {
+		t.Errorf("per-run WithQueueCapacity lost to the FaultConfig:\n got %v\nwant %v", got.FaultResult, want.FaultResult)
+	}
 }
 
 func TestPermanentLinkFaultRerouted(t *testing.T) {
 	// B(3,3): λ = 2, so one dead link costs nothing but a detour.
-	nw, _ := faultNet(t, 3, 3)
+	nw := tableNet(t, debruijn.DeBruijn(3, 3))
 	plan := NewFaultPlan().LinkDown(0, 0, 5, 1)
-	res, err := nw.RunWithFaults(UniformRandom(27, 500, 80), plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(UniformRandom(27, 500, 80)), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +238,7 @@ func TestTransientFaultHealsAndRetries(t *testing.T) {
 	// Down *all* out-arcs of node 5 for a while: packets waiting there
 	// must back off, then proceed when the lens clears. λ-redundancy can't
 	// help (every out-arc is dead), so this exercises the retry path.
-	nw, _ := faultNet(t, 3, 3)
+	nw := tableNet(t, debruijn.DeBruijn(3, 3))
 	g := debruijn.DeBruijn(3, 3)
 	plan := NewFaultPlan()
 	for k := 0; k < g.OutDegree(5); k++ {
@@ -146,7 +248,7 @@ func TestTransientFaultHealsAndRetries(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pkts = append(pkts, Packet{ID: i, Src: 5, Dst: (i*7)%27 + (i % 2), Release: 0})
 	}
-	res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +267,10 @@ func TestTransientFaultHealsAndRetries(t *testing.T) {
 func TestNodeFaultDropsInFlight(t *testing.T) {
 	// A node that dies mid-run eats packets in flight to it; they are
 	// dropped with accounting, not lost.
-	nw, _ := faultNet(t, 3, 3)
+	nw := tableNet(t, debruijn.DeBruijn(3, 3))
 	plan := NewFaultPlan().NodeDown(0, 0, 5)
 	pkts := UniformRandom(27, 400, 9)
-	res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +290,11 @@ func TestNodeFaultDropsInFlight(t *testing.T) {
 }
 
 func TestTTLDropsLoopingPackets(t *testing.T) {
-	nw, _ := faultNet(t, 2, 3)
+	nw := tableNet(t, debruijn.DeBruijn(2, 3))
 	cfg := DefaultFaultConfig()
 	cfg.TTL = 1
 	pkts := []Packet{{ID: 0, Src: 0, Dst: 7, Release: 0}} // distance 3 > TTL
-	res, err := nw.RunWithFaults(pkts, NewFaultPlan(), cfg)
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(NewFaultPlan()), WithFaultConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +307,7 @@ func TestTotalBlackoutTerminatesCleanly(t *testing.T) {
 	// 100% fault rate: every arc permanently dead from cycle 0. Every
 	// packet must drop via the retry ladder — no deadlock, nothing stuck.
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	plan := NewFaultPlan()
 	for u := 0; u < g.N(); u++ {
 		for k := 0; k < g.OutDegree(u); k++ {
@@ -222,7 +321,7 @@ func TestTotalBlackoutTerminatesCleanly(t *testing.T) {
 			moving++
 		}
 	}
-	res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,22 +397,20 @@ func TestFaultRouterNeverForwardsOntoDownedArc(t *testing.T) {
 	}
 }
 
-func TestTracedRunWithFaultsVerifies(t *testing.T) {
+func TestTracedFaultRunVerifies(t *testing.T) {
 	g := debruijn.DeBruijn(3, 3)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	plan := NewFaultPlan().
 		LinkDown(0, 0, 5, 1).  // permanent link
 		NodeDown(3, 15, 20).   // transient node
 		LinkDown(2, 6, 11, 0). // transient link
 		NodeDown(0, 0, 7)      // permanent node
 	pkts := UniformRandom(27, 300, 13)
-	res, events, err := nw.TracedRunWithFaults(pkts, plan, DefaultFaultConfig())
+	rep, err := nw.RunOpts(Fixed(pkts), WithFaults(plan), WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, events := rep.FaultResult, rep.Events
 	if err := VerifyTrace(g, pkts, events); err != nil {
 		t.Fatalf("trace under faults rejected: %v", err)
 	}
@@ -356,7 +453,7 @@ func TestVerifyTraceRejectsEventsAfterDrop(t *testing.T) {
 func TestDegradationSweep(t *testing.T) {
 	g := debruijn.DeBruijn(3, 3)
 	rates := []float64{0, 0.05, 0.3, 1}
-	points, err := DegradationSweep(g, NewTableRouter(g), rates, 300, 5, 2)
+	points, err := tableNet(t, g).DegradationSweep(rates, 300, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +487,7 @@ func TestDegradationSweep(t *testing.T) {
 		}
 	}
 	// Determinism across worker counts.
-	again, err := DegradationSweep(g, NewTableRouter(g), rates, 300, 5, 1)
+	again, err := tableNet(t, g).DegradationSweep(rates, 300, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,13 +500,13 @@ func TestDegradationSweep(t *testing.T) {
 
 func TestDegradationSweepErrors(t *testing.T) {
 	g := debruijn.DeBruijn(2, 2)
-	if _, err := DegradationSweep(g, NewTableRouter(g), []float64{0.5}, 0, 1, 1); err == nil {
+	if _, err := tableNet(t, g).DegradationSweep([]float64{0.5}, 0, 1, 1); err == nil {
 		t.Error("zero packets accepted")
 	}
-	if _, err := DegradationSweep(g, NewTableRouter(g), []float64{-0.1}, 10, 1, 1); err == nil {
+	if _, err := tableNet(t, g).DegradationSweep([]float64{-0.1}, 10, 1, 1); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if _, err := DegradationSweep(g, NewTableRouter(g), []float64{1.5}, 10, 1, 1); err == nil {
+	if _, err := tableNet(t, g).DegradationSweep([]float64{1.5}, 10, 1, 1); err == nil {
 		t.Error("rate > 1 accepted")
 	}
 }
@@ -421,10 +518,7 @@ func TestLensFaultPartialService(t *testing.T) {
 	// serviceable pairs) must keep 100% delivery, the rest must drop with
 	// accounting — never hang.
 	g := debruijn.DeBruijn(3, 3)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	shadow := map[int]bool{3: true, 4: true, 5: true}
 	var arcs []Arc
 	residual := digraph.New(g.N())
@@ -446,7 +540,7 @@ func TestLensFaultPartialService(t *testing.T) {
 
 	plan := NewFaultPlan().LensDown(0, 0, 1, arcs)
 	pkts := UniformRandom(27, 600, 21)
-	res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,10 +48,7 @@ func TestSelfHealingMatchesOmniscientEverySingleArcFaultB33(t *testing.T) {
 			if err := plan.Err(); err != nil {
 				t.Fatal(err)
 			}
-			nw, err := New(g, NewTableRouter(g), DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := tableNet(t, g)
 			session, err := nw.SelfHeal(plan, HealConfig{})
 			if err != nil {
 				t.Fatal(err)
@@ -121,11 +118,8 @@ func TestSelfHealingOmniscientBaseline(t *testing.T) {
 	pkts := allPairsWorkload(g.N())
 	for _, arc := range []Arc{{Tail: 1, Index: 0}, {Tail: 14, Index: 2}} {
 		plan := NewFaultPlanFor(g).LinkDown(0, 0, arc.Tail, arc.Index)
-		nw, err := New(g, NewTableRouter(g), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+		nw := tableNet(t, g)
+		res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,10 +153,7 @@ found:
 		}
 	}
 	plan := NewFaultPlanFor(g).LinkDown(0, 60, fault.Tail, fault.Index)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	session, err := nw.SelfHeal(plan, HealConfig{ProbeInterval: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -203,10 +194,7 @@ found:
 func TestSelfHealingTruncatedRunAccounting(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
 	plan := NewFaultPlanFor(g).LinkDown(0, 0, 1, 0)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	session, err := nw.SelfHeal(plan, HealConfig{FaultConfig: FaultConfig{MaxCycles: 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -268,10 +256,7 @@ func TestSelfHealingQuarantineStopsTraffic(t *testing.T) {
 		}
 	}
 	mon := &quarMonitor{arc: target, at: 0}
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	session, err := nw.SelfHeal(nil, HealConfig{Monitor: mon})
 	if err != nil {
 		t.Fatal(err)

@@ -7,10 +7,7 @@ import (
 	"repro/internal/digraph"
 )
 
-// Network construction behind functional options. Historically a Network
-// was assembled positionally — New(g, router, cfg) — which forced every
-// caller to build a router by hand (almost always NewTableRouter(g)) and
-// to thread a Config struct even for the defaults. NewNetwork folds
+// Network construction behind functional options. NewNetwork folds
 // router selection, Config fields and network-wide run defaults into one
 // option set:
 //
@@ -23,8 +20,7 @@ import (
 // cycles) are netOption values; every RunOption is also a NetworkOption,
 // applied as a network-wide default that individual RunOpts calls
 // override field by field. Invalid options and combinations fail eagerly
-// with *OptionError values, before any table or slab is built. The old
-// positional New remains as a thin deprecated wrapper.
+// with *OptionError values, before any table or slab is built.
 
 // RoutingMode selects how a Network routes packets.
 type RoutingMode int
@@ -185,10 +181,10 @@ func WithMaxCycles(cycles int) NetworkOption {
 	})
 }
 
-// WithConfig folds a whole legacy Config into the option set — the
-// bridge the deprecated positional constructors ride through. Field
-// validation matches New; combining WithConfig with the per-field
-// options (WithHopLatency, WithMaxCycles) conflicts.
+// WithConfig folds a whole Config into the option set. HopLatency must
+// be at least 1 and QueueCapacity and HoldBudget non-negative; combining
+// WithConfig with the per-field options (WithHopLatency, WithMaxCycles)
+// conflicts.
 func WithConfig(cfg Config) NetworkOption {
 	return netOption(func(c *netConfig) {
 		if c.cfgSet {
@@ -227,9 +223,9 @@ func routingModeOf(r Router) RoutingMode {
 }
 
 // NewNetwork creates a network simulation over g, configured by
-// functional options. With no options it is New(g, NewTableRouter(g),
-// DefaultConfig()) for small graphs; large congruence-form de Bruijn
-// graphs route table-free (AutoRouting). All validation is eager: the
+// functional options. With no options small graphs get the
+// shortest-path table router and DefaultConfig(); large congruence-form
+// de Bruijn graphs route table-free (AutoRouting). All validation is eager: the
 // first invalid option or combination is returned as an *OptionError
 // before any routing table is built.
 func NewNetwork(g *digraph.Digraph, opts ...NetworkOption) (*Network, error) {

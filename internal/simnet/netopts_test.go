@@ -10,50 +10,6 @@ import (
 	"repro/internal/otis"
 )
 
-// TestNewNetworkEquivalentToNew pins the deprecated positional
-// constructor to the options API: New(g, router, cfg) and
-// NewNetwork(g, WithRouter(router), WithConfig(cfg)) must produce
-// DeepEqual results on the same workloads, across configs and routers.
-func TestNewNetworkEquivalentToNew(t *testing.T) {
-	g := debruijn.DeBruijn(3, 3)
-	cases := []struct {
-		name   string
-		router Router
-		cfg    Config
-	}{
-		{"table/default", NewTableRouter(g), DefaultConfig()},
-		{"shift/default", NewDeBruijnRouter(3, 3), DefaultConfig()},
-		{"table/hop2", NewTableRouter(g), Config{HopLatency: 2}},
-		{"table/bounded", NewTableRouter(g), Config{HopLatency: 1, QueueCapacity: 2, HoldBudget: 8}},
-		{"table/capped", NewTableRouter(g), Config{HopLatency: 1, MaxCycles: 40}},
-	}
-	for _, tc := range cases {
-		old, err := New(g, tc.router, tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: New: %v", tc.name, err)
-		}
-		nu, err := NewNetwork(g, WithRouter(tc.router), WithConfig(tc.cfg))
-		if err != nil {
-			t.Fatalf("%s: NewNetwork: %v", tc.name, err)
-		}
-		pkts := UniformRandom(g.N(), 3*g.N(), 17)
-		if want, got := old.Run(pkts), nu.Run(pkts); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: Run diverged between New and NewNetwork", tc.name)
-		}
-		a, err := old.RunOpts(PermutationLoad(), WithSeed(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := nu.RunOpts(PermutationLoad(), WithSeed(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: RunOpts diverged between New and NewNetwork", tc.name)
-		}
-	}
-}
-
 // TestNewNetworkRoutingModes pins mode resolution: explicit table and
 // shift selection, the CustomRouting report for WithRouter, and the
 // AutoRouting crossover (small graphs keep the table, large
@@ -91,10 +47,7 @@ func TestNewNetworkRoutingModes(t *testing.T) {
 func TestShiftRoutingMatchesTableOnNetwork(t *testing.T) {
 	for _, tc := range []struct{ d, D int }{{2, 6}, {3, 4}, {4, 3}} {
 		g := debruijn.DeBruijn(tc.d, tc.D)
-		tab, err := NewNetwork(g, WithRouting(TableRouting))
-		if err != nil {
-			t.Fatal(err)
-		}
+		tab := tableNet(t, g)
 		shf, err := NewNetwork(g, WithRouting(ShiftRouting))
 		if err != nil {
 			t.Fatal(err)
@@ -200,10 +153,39 @@ func TestNetworkRunDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotB := bounded.Run(pkts); !reflect.DeepEqual(wantB.Result, gotB) {
-		t.Fatalf("network-default queue bound not applied by Run")
+	if gotB := runFixed(t, bounded, pkts); !reflect.DeepEqual(wantB, gotB) {
+		t.Fatalf("network-default queue bound not applied")
 	}
 	if wantB.Holds == 0 && wantB.DroppedQueueFull == 0 {
 		t.Fatalf("bounded default produced no backpressure; test not exercising the bound")
+	}
+
+	// A whole Config folded in by WithConfig acts like the per-field
+	// construction options and the per-run queue options it mirrors.
+	g3 := debruijn.DeBruijn(3, 3)
+	pkts3 := UniformRandom(g3.N(), 3*g3.N(), 17)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		equiv []NetworkOption
+		run   []RunOption
+	}{
+		{"hop2", Config{HopLatency: 2}, []NetworkOption{WithHopLatency(2)}, nil},
+		{"bounded", Config{HopLatency: 1, QueueCapacity: 2, HoldBudget: 8}, nil,
+			[]RunOption{WithQueueCapacity(2), WithHoldBudget(8)}},
+		{"capped", Config{HopLatency: 1, MaxCycles: 40}, []NetworkOption{WithMaxCycles(40)}, nil},
+	} {
+		viaCfg, err := NewNetwork(g3, WithConfig(tc.cfg))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		viaOpts, err := NewNetwork(g3, tc.equiv...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, got := runFixed(t, viaOpts, pkts3, tc.run...), runFixed(t, viaCfg, pkts3)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: WithConfig(%+v) diverged from its option equivalent", tc.name, tc.cfg)
+		}
 	}
 }

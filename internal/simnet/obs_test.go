@@ -15,19 +15,13 @@ func TestInstrumentedRunMatchesUninstrumented(t *testing.T) {
 	g := debruijn.DeBruijn(2, 6)
 	pkts := UniformRandom(g.N(), 800, 17)
 
-	plain, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := plain.Run(pkts)
+	plain := tableNet(t, g)
+	bare := runFixed(t, plain, pkts).Result
 
-	instr, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	instr := tableNet(t, g)
 	rec := obs.NewRecorder(nil)
 	instr.Observe(rec)
-	observed := instr.Run(pkts)
+	observed := runFixed(t, instr, pkts).Result
 
 	if !reflect.DeepEqual(bare, observed) {
 		t.Errorf("instrumented run diverged:\nbare:     %+v\nobserved: %+v", bare, observed)
@@ -39,13 +33,10 @@ func TestInstrumentedRunMatchesUninstrumented(t *testing.T) {
 // per-packet hop counts must all agree.
 func TestArcTraversalsSumToHops(t *testing.T) {
 	g := debruijn.DeBruijn(3, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	rec := obs.NewRecorder(nil)
 	nw.Observe(rec)
-	res := nw.Run(Permutation(g.N(), 3))
+	res := runFixed(t, nw, Permutation(g.N(), 3)).Result
 
 	var hops int64
 	for _, p := range res.Packets {
@@ -77,10 +68,7 @@ func TestArcTraversalsSumToHops(t *testing.T) {
 // drain accounting against the recorder's cause buckets.
 func TestFaultRunRecorderMatchesResult(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	rec := obs.NewRecorder(nil)
 	nw.Observe(rec)
 
@@ -90,7 +78,7 @@ func TestFaultRunRecorderMatchesResult(t *testing.T) {
 		plan.LinkDown(0, 0, 0, k)
 		plan.LinkDown(0, 0, 1, k)
 	}
-	res, err := nw.RunWithFaults(UniformRandom(g.N(), 600, 3), plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(UniformRandom(g.N(), 600, 3)), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,28 +107,18 @@ func TestFaultRunRecorderMatchesResult(t *testing.T) {
 	}
 }
 
-// TestRunOptsSubsumesWrappers: the functional-options entry point must
-// reproduce each deprecated wrapper exactly.
+// TestRunOptsSubsumesWrappers: the functional-options entry point
+// reproduces the direct generator call and the TracedRun shadow trace,
+// carries events only when traced, and rejects a nil workload.
 func TestRunOptsSubsumesWrappers(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
 	mk := func() *Network {
-		nw, err := New(g, NewTableRouter(g), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		nw := tableNet(t, g)
 		return nw
 	}
 	pkts := UniformRandom(g.N(), 300, 9)
 
-	// Plain run.
-	want := mk().Run(pkts)
-	rep, err := mk().RunOpts(Fixed(pkts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep.Result, want) {
-		t.Errorf("RunOpts plain diverged from Run")
-	}
+	want := runFixed(t, mk(), pkts).Result
 
 	// Workload generation matches the generator called directly.
 	rep2, err := mk().RunOpts(UniformLoad(300), WithSeed(9))
@@ -151,35 +129,11 @@ func TestRunOptsSubsumesWrappers(t *testing.T) {
 		t.Errorf("UniformLoad+WithSeed diverged from UniformRandom")
 	}
 
-	// Fault run.
+	// An untraced fault run carries no events.
 	plan := NewFaultPlan()
 	plan.LinkDown(0, 0, 0, 0)
-	wantF, err := mk().RunWithFaults(pkts, plan, DefaultFaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	repF, err := mk().RunOpts(Fixed(pkts), WithFaults(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repF.FaultResult, wantF) {
-		t.Errorf("RunOpts(WithFaults) diverged from RunWithFaults")
-	}
-	if repF.Events != nil {
+	if repF := runFixed(t, mk(), pkts, WithFaults(plan)); repF.Events != nil {
 		t.Errorf("untraced run carries events")
-	}
-
-	// Traced fault run.
-	wantR, wantEv, err := mk().TracedRunWithFaults(pkts, plan, DefaultFaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	repT, err := mk().RunOpts(Fixed(pkts), WithFaults(plan), WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repT.FaultResult, wantR) || !reflect.DeepEqual(repT.Events, wantEv) {
-		t.Errorf("RunOpts(WithFaults, WithTrace) diverged from TracedRunWithFaults")
 	}
 
 	// Traced fault-free run.
@@ -202,10 +156,7 @@ func TestRunOptsSubsumesWrappers(t *testing.T) {
 // touching the network's attached recorder.
 func TestRunOptsWithRecorderOverride(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	attached := obs.NewRecorder(nil)
 	nw.Observe(attached)
 	override := obs.NewRecorder(nil)
@@ -232,10 +183,7 @@ func TestRunOptsWithRecorderOverride(t *testing.T) {
 // certification of the obs hot path.
 func TestSweepSharedRecorder(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	rec := obs.NewRecorder(nil)
 	nw.Observe(rec)
 	rates := []float64{0, 0.05, 0.1, 0.2, 0.3, 0.5}

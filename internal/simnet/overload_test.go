@@ -22,10 +22,7 @@ import (
 // under bounded queues and checks every leg of the claim.
 func TestClaimXOverload(t *testing.T) {
 	g := debruijn.DeBruijn(3, 5)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	const (
 		qcap    = 2
 		packets = 20000
@@ -107,7 +104,7 @@ func TestSaturationCatalogAccounting(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no saturation rate", name)
 		}
-		nw, err := New(g, NewTableRouter(g), DefaultConfig())
+		nw, err := NewNetwork(g, WithRouting(TableRouting))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -152,10 +149,7 @@ func TestChaosOverload(t *testing.T) {
 	if !ok {
 		t.Fatal("B(2,4) not strongly connected?")
 	}
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		plan := randomChaosPlan(rng, g)
@@ -188,10 +182,7 @@ func TestChaosOverload(t *testing.T) {
 // queues — accounting exact, queue bound respected, deterministic.
 func TestHealOverload(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	mkPlan := func() *FaultPlan {
 		plan := NewFaultPlan()
 		plan.LinkDown(5, 40, 0, 0)
@@ -231,10 +222,7 @@ func TestHealOverload(t *testing.T) {
 // with *OptionError, before any simulation work.
 func TestRunOptsValidation(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	ok := UniformLoad(10)
 	cases := []struct {
 		name   string

@@ -33,10 +33,7 @@ func TestPeakQueueSurfacesAgree(t *testing.T) {
 	}
 	for _, tc := range tunings {
 		for seed := int64(1); seed <= 3; seed++ {
-			nw, err := New(g, NewTableRouter(g), DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := tableNet(t, g)
 			rng := rand.New(rand.NewSource(seed * 104729))
 			pkts := make([]Packet, 4*n)
 			for i := range pkts {
@@ -73,10 +70,7 @@ func TestPeakQueueSurfacesAgree(t *testing.T) {
 
 			// Brute-force witness: the frozen historical engine replays
 			// the same workload and must see the same peak.
-			nwRef, err := New(g, NewTableRouter(g), DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+			nwRef := tableNet(t, g)
 			recRef := obs.NewRecorder(obs.NewRegistry())
 			recRef.SizeArcs(int(nwRef.arcBase[n]))
 			want := refRun(nwRef, pkts, tc.tun(), recRef)

@@ -6,18 +6,14 @@ import (
 	"repro/internal/obs"
 )
 
-// The unified run entry point. Historically the Network grew three
-// parallel entry points — Run, RunWithFaults, TracedRunWithFaults —
-// each with its own positional signature; every new cross-cutting
-// concern (tracing, fault plans, now metrics recording) multiplied the
-// surface. RunOpts collapses them behind functional options:
+// The unified run entry point. Every cross-cutting run concern —
+// tracing, fault plans, metrics recording, queue bounds, admission,
+// sharding — is a functional option on one method:
 //
 //	rep, err := nw.RunOpts(simnet.UniformLoad(5000),
 //	        simnet.WithSeed(7),
 //	        simnet.WithFaults(plan),
 //	        simnet.WithRecorder(rec))
-//
-// The old names remain as thin deprecated wrappers.
 
 // Workload produces the packets of one run, given the network size and
 // a seed. Deterministic generators ignore the seed.
@@ -196,8 +192,9 @@ func WithFaults(plan *FaultPlan) RunOption {
 
 // WithFaultConfig tunes the fault engine (TTL, retries, backoff, queue
 // bounds) and implies the fault-aware engine like WithFaults(nil).
-// Negative fields fail eagerly; zero fields keep selecting their
-// documented defaults. Duplicate WithFaultConfig options conflict.
+// Negative fields fail eagerly; zero fields fall back to the Network's
+// Config, then to their documented defaults. Duplicate WithFaultConfig
+// options conflict.
 func WithFaultConfig(cfg FaultConfig) RunOption {
 	return func(c *runConfig) {
 		if c.faultCfgSet {
@@ -226,7 +223,10 @@ func WithFaultConfig(cfg FaultConfig) RunOption {
 	}
 }
 
-// WithTrace records the full event log of the run into the report.
+// WithTrace records the full event log of the run into the report. A
+// fault run records its events live, each with its cycle, since fault
+// decisions depend on the cycle and a shadow re-run cannot reconstruct
+// them.
 func WithTrace() RunOption {
 	return func(c *runConfig) { c.traced = true }
 }
@@ -355,10 +355,9 @@ type RunReport struct {
 	ShardFallback bool
 }
 
-// RunOpts generates the workload and runs it under the given options,
-// subsuming Run (no options), RunWithFaults (WithFaults) and
-// TracedRunWithFaults (WithFaults + WithTrace). Plain runs take the
-// allocation-free fast path; fault and traced runs use their engines.
+// RunOpts generates the workload and runs it under the given options.
+// Plain runs take the allocation-free fast path; fault runs use the
+// departure-routed engine, and traced runs record their event log.
 // Invalid options and workloads fail eagerly, before any simulation
 // work, with *OptionError values.
 func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
@@ -418,7 +417,7 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 		if cfg.holdSet {
 			fcfg.HoldBudget = cfg.hold
 		}
-		res, events, err := nw.runWithFaults(pkts, cfg.plan, fcfg, cfg.traced, admit, rec)
+		res, events, err := nw.runFaults(pkts, cfg.plan, fcfg, cfg.traced, admit, rec)
 		if err != nil {
 			return RunReport{}, err
 		}

@@ -197,7 +197,7 @@ func TestWithShardsDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Network-wide default via NewNetwork(WithShards) + deprecated Run.
+	// Network-wide default via NewNetwork(WithShards), no per-run option.
 	sharded, err := NewNetwork(g, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +206,8 @@ func TestWithShardsDispatch(t *testing.T) {
 		t.Fatalf("Shards() = %d, want 4", got)
 	}
 	pkts := Permutation(g.N(), 2)
-	if got := sharded.Run(pkts); !reflect.DeepEqual(seq.Result, got) {
-		t.Fatalf("Run on a WithShards(4) network diverged from the sequential result")
+	if got := runFixed(t, sharded, pkts).Result; !reflect.DeepEqual(seq.Result, got) {
+		t.Fatalf("RunOpts on a WithShards(4) network diverged from the sequential result")
 	}
 
 	// Per-run option on a plain network.

@@ -281,7 +281,7 @@ type inflight struct {
 }
 
 // Network binds a digraph, a router and a config into a runnable
-// simulation. A Network is safe for concurrent Run/RunWithFaults calls:
+// simulation. A Network is safe for concurrent RunOpts calls:
 // the compiled router and distance slab are shared read-only, while each
 // run checks a scratch arena out of a pool so repeated runs (sweeps)
 // reuse their queue/pipeline/metadata storage instead of reallocating it
@@ -343,28 +343,6 @@ func (nw *Network) Observe(rec *obs.Recorder) {
 // index a Recorder's per-arc slabs are addressed by.
 func (nw *Network) ArcIndex(tail, k int) int { return int(nw.arcBase[tail]) + k }
 
-// New creates a network simulation over g.
-//
-// Deprecated: use NewNetwork, which folds router selection and Config
-// fields into one functional-option set (New(g, router, cfg) is
-// NewNetwork(g, WithRouter(router), WithConfig(cfg))). New remains a
-// thin equivalent wrapper and is not going away.
-func New(g *digraph.Digraph, router Router, cfg Config) (*Network, error) {
-	if g.N() == 0 {
-		return nil, fmt.Errorf("simnet: empty digraph")
-	}
-	if cfg.HopLatency < 1 {
-		return nil, fmt.Errorf("simnet: HopLatency must be >= 1, got %d", cfg.HopLatency)
-	}
-	if cfg.QueueCapacity < 0 {
-		return nil, fmt.Errorf("simnet: QueueCapacity must be >= 0, got %d", cfg.QueueCapacity)
-	}
-	if cfg.HoldBudget < 0 {
-		return nil, fmt.Errorf("simnet: HoldBudget must be >= 0, got %d", cfg.HoldBudget)
-	}
-	return newNetwork(g, router, cfg), nil
-}
-
 // newNetwork builds the derived state for already-validated inputs (the
 // shadow network of TracedRun reuses it without re-threading the error).
 func newNetwork(g *digraph.Digraph, router Router, cfg Config) *Network {
@@ -409,25 +387,6 @@ func (nw *Network) diameter() int {
 // defaultBudget is the generous cycle bound used when MaxCycles is 0.
 func (nw *Network) defaultBudget(pkts, hopLatency int) int {
 	return 64*nw.g.N()*hopLatency + 16*pkts + 1024
-}
-
-// Run simulates until every packet is delivered or dropped, or MaxCycles
-// elapses. The packets slice is copied; releases may be in any order.
-// Network-wide run defaults (RunOptions passed to NewNetwork, e.g.
-// WithShards) apply; on a network constructed without them Run is the
-// plain sequential engine it always was.
-//
-// Deprecated: use RunOpts, which unifies the run entry points behind
-// functional options (Run(pkts) is RunOpts(Fixed(pkts))). Run remains a
-// thin wrapper and is not going away.
-func (nw *Network) Run(packets []Packet) Result {
-	rep, err := nw.RunOpts(Fixed(packets))
-	if err != nil {
-		// Unreachable for a valid Network: Fixed never fails and the
-		// network-wide defaults were validated at construction.
-		panic(fmt.Sprintf("simnet: Run: %v", err))
-	}
-	return rep.Result
 }
 
 // runTuning is the per-run overload-protection tuning threaded through

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -137,10 +138,7 @@ func checkFaultAccounting(t *testing.T, res FaultResult, offered int) {
 func TestFaultAccountingAdversarialReleases(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
 	n := g.N()
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		pkts := make([]Packet, 60)
@@ -169,10 +167,11 @@ func TestFaultAccountingAdversarialReleases(t *testing.T) {
 		}
 		cfg := DefaultFaultConfig()
 		cfg.MaxCycles = 30 + rng.Intn(40)
-		res, events, err := nw.TracedRunWithFaults(pkts, plan, cfg)
+		rep, err := nw.RunOpts(Fixed(pkts), WithFaults(plan), WithFaultConfig(cfg), WithTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
+		res, events := rep.FaultResult, rep.Events
 		checkFaultAccounting(t, res, len(pkts))
 		if err := VerifyTrace(g, pkts, events); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -186,21 +185,18 @@ func TestFaultAccountingAdversarialReleases(t *testing.T) {
 // the accounting. It must now land in DroppedHorizon.
 func TestHorizonPacketsDropped(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	pkts := []Packet{
 		{ID: 0, Src: 0, Dst: 3, Release: 0},
 		{ID: 1, Src: 1, Dst: 4, Release: 5000}, // beyond the budget
 	}
 	cfg := DefaultFaultConfig()
 	cfg.MaxCycles = 20
-	res, err := nw.RunWithFaults(pkts, nil, cfg)
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(nil), WithFaultConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFaultAccounting(t, res, len(pkts))
+	checkFaultAccounting(t, res.FaultResult, len(pkts))
 	if res.Delivered != 1 {
 		t.Fatalf("delivered %d, want 1", res.Delivered)
 	}
@@ -217,14 +213,14 @@ func TestHorizonPacketsDropped(t *testing.T) {
 // over different worker counts must not change a single field.
 func TestDegradationSweepDeterministicAcrossWorkers(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	router := NewTableRouter(g)
+	nw := tableNet(t, g)
 	rates := []float64{0, 0.1, 0.3, 0.6, 1}
-	want, err := DegradationSweep(g, router, rates, 150, 11, 1)
+	want, err := nw.DegradationSweep(rates, 150, 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 0} { // 0 selects GOMAXPROCS
-		got, err := DegradationSweep(g, router, rates, 150, 11, workers)
+		got, err := nw.DegradationSweep(rates, 150, 11, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,36 +236,30 @@ func TestDegradationSweepDeterministicAcrossWorkers(t *testing.T) {
 // shared-slab/arena safety proof.
 func TestSharedNetworkConcurrentRuns(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := tableNet(t, g)
 	const goroutines = 8
-	sequential := make([]Result, goroutines)
+	sequential := make([]RunReport, goroutines)
 	for i := range sequential {
-		sequential[i] = nw.Run(Permutation(g.N(), int64(i)))
+		sequential[i] = runFixed(t, nw, Permutation(g.N(), int64(i)))
 	}
-	seqFault, err := nw.RunWithFaults(UniformRandom(g.N(), 100, 3), nil, DefaultFaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqFault := runFixed(t, nw, UniformRandom(g.N(), 100, 3), WithFaults(nil))
 
 	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	results := make([]Result, goroutines)
-	faults := make([]FaultResult, goroutines)
+	errs := make([]error, 2*goroutines)
+	results := make([]RunReport, goroutines)
+	faults := make([]RunReport, goroutines)
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = nw.Run(Permutation(g.N(), int64(i)))
-			faults[i], errs[i] = nw.RunWithFaults(UniformRandom(g.N(), 100, 3), nil, DefaultFaultConfig())
+			results[i], errs[2*i] = nw.RunOpts(Fixed(Permutation(g.N(), int64(i))))
+			faults[i], errs[2*i+1] = nw.RunOpts(Fixed(UniformRandom(g.N(), 100, 3)), WithFaults(nil))
 		}(i)
 	}
 	wg.Wait()
 	for i := 0; i < goroutines; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+		if err := errors.Join(errs[2*i], errs[2*i+1]); err != nil {
+			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(results[i], sequential[i]) {
 			t.Fatalf("goroutine %d: concurrent run diverged from sequential", i)
@@ -285,18 +275,12 @@ func TestSharedNetworkConcurrentRuns(t *testing.T) {
 // recycled scratch must never leak state between runs.
 func TestArenaReuseKeepsRunsIndependent(t *testing.T) {
 	g := debruijn.DeBruijn(3, 3)
-	shared, err := New(g, NewTableRouter(g), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := tableNet(t, g)
 	for seed := int64(0); seed < 6; seed++ {
-		fresh, err := New(g, NewTableRouter(g), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := tableNet(t, g)
 		pkts := PoissonArrivals(g.N(), 120, 0.4, seed)
-		got := shared.Run(pkts)
-		want := fresh.Run(pkts)
+		got := runFixed(t, shared, pkts).Result
+		want := runFixed(t, fresh, pkts).Result
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: arena-reusing run diverged from fresh network", seed)
 		}

@@ -41,7 +41,7 @@ func (p SweepPoint) String() string {
 // runs terminate and are flagged. All points run on one Network, so the
 // compiled router and the scratch arena are built once and reused.
 func LoadSweep(g *digraph.Digraph, router Router, rates []float64, packets int, seed int64) ([]SweepPoint, error) {
-	nw, err := New(g, router, DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(router))
 	if err != nil {
 		return nil, err
 	}

@@ -140,7 +140,8 @@ func (r *recordingRouter) decision(at, dst int) int {
 // pair follows an arc, each packet's walk is connected from source to
 // destination, reroutes announce a real arc at the packet's position,
 // and a dropped packet never moves (or delivers) afterwards. Traces from
-// TracedRun and TracedRunWithFaults both satisfy it.
+// TracedRun and traced fault runs (WithFaults + WithTrace) both satisfy
+// it.
 func VerifyTrace(g *digraph.Digraph, packets []Packet, events []Event) error {
 	byPacket := map[int][]Event{}
 	for _, e := range events {

@@ -9,9 +9,9 @@ import (
 
 func TestTracedRunMatchesPlainRun(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
+	nw, _ := NewNetwork(g, WithRouting(TableRouting))
 	pkts := UniformRandom(g.N(), 100, 101)
-	plain := nw.Run(pkts)
+	plain := runFixed(t, nw, pkts).Result
 	traced, events := nw.TracedRun(pkts)
 	if plain.Delivered != traced.Delivered || plain.TotalHops != traced.TotalHops {
 		t.Fatalf("traced run diverged: %v vs %v", plain, traced)
@@ -26,7 +26,7 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 
 func TestTraceEventCounts(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, _ := New(g, NewDeBruijnRouter(2, 4), DefaultConfig())
+	nw, _ := NewNetwork(g, WithRouter(NewDeBruijnRouter(2, 4)))
 	pkts := []Packet{{ID: 0, Src: 1, Dst: 9}}
 	res, events := nw.TracedRun(pkts)
 	if res.Delivered != 1 {

@@ -55,8 +55,8 @@
 //
 //	rec := repro.NewRecorder(repro.NewMetricsRegistry())
 //	g := repro.DeBruijn(2, 8)
-//	nw, err := repro.NewNetwork(g, repro.NewTableRouterObserved(g, rec),
-//		repro.DefaultSimConfig())
+//	nw, err := repro.NewNetworkOpts(g,
+//		repro.WithRouter(repro.NewTableRouterObserved(g, rec)))
 //	nw.Observe(rec)
 //	rep, err := nw.RunOpts(repro.UniformLoad(10_000), repro.WithSeed(1))
 //	doc, err := rec.Snapshot().MarshalIndent() // stable OBS_run/v1 JSON
@@ -412,10 +412,7 @@ const DefaultWavelength = optics.DefaultWavelength
 // options (WithRouting, WithRouter, WithHopLatency, WithShards, and any
 // RunOption as a network-wide default). Network.RunOpts is the unified
 // run entry point: a Workload plus functional options (WithSeed,
-// WithFaults, WithTrace, WithRecorder, WithShards). The older positional
-// NewNetwork(g, router, cfg) constructor and the Network.Run,
-// Network.RunWithFaults and Network.TracedRunWithFaults methods are
-// retained as thin deprecated wrappers.
+// WithFaults, WithTrace, WithRecorder, WithShards).
 //
 // At scale, WithRouting(ShiftRouting) routes table-free on
 // congruence-form de Bruijn digraphs (O(D) state instead of an O(n²)
@@ -486,13 +483,6 @@ var (
 )
 
 var (
-	// NewNetwork binds a digraph, router and config.
-	//
-	// Deprecated: NewNetwork(g, router, cfg) is
-	// NewNetworkOpts(g, WithRouter(router), WithSimConfig(cfg)); the
-	// options constructor also resolves routing modes and network-wide
-	// run defaults. NewNetwork remains a thin equivalent wrapper.
-	NewNetwork = simnet.New
 	// NewTableRouter routes by precomputed shortest paths.
 	NewTableRouter = simnet.NewTableRouter
 	// NewDeBruijnRouter routes natively on B(d, D) labels.
@@ -563,26 +553,6 @@ type (
 	OptionError = simnet.OptionError
 )
 
-// Deprecated: the raw packet-slice generators below predate the Workload
-// interface. Prefer Network.RunOpts with UniformLoad, PermutationLoad,
-// BroadcastLoad, AllToAllLoad or PoissonLoad; wrap an explicit slice with
-// FixedWorkload. They remain for callers that want a bare []Packet.
-var (
-	// UniformRandomWorkload generates n uniformly random packets.
-	UniformRandomWorkload = simnet.UniformRandom
-	// PermutationWorkload generates a random-permutation pattern.
-	PermutationWorkload = simnet.Permutation
-	// BroadcastWorkload generates a one-to-all pattern.
-	BroadcastWorkload = simnet.Broadcast
-	// AllToAllWorkload generates every ordered pair once.
-	AllToAllWorkload = simnet.AllToAll
-	// PoissonWorkload generates Poisson arrivals.
-	PoissonWorkload = simnet.PoissonArrivals
-	// RatedWorkload generates fixed-rate uniform traffic (rates may
-	// exceed one packet per cycle).
-	RatedWorkload = simnet.RatedUniform
-)
-
 // Load–latency characterization.
 var (
 	// LoadSweep measures mean latency across offered Poisson loads.
@@ -619,8 +589,6 @@ var (
 	NewFaultAwareRouter = simnet.NewFaultAwareRouter
 	// DefaultFaultSimConfig returns the default TTL/retry/backoff tuning.
 	DefaultFaultSimConfig = simnet.DefaultFaultConfig
-	// DegradationSweep measures delivery and latency vs. fault rate.
-	DegradationSweep = simnet.DegradationSweep
 )
 
 type (
@@ -636,7 +604,7 @@ type (
 	FaultState = simnet.FaultState
 	// FaultAwareRouter reroutes around the faults of a FaultState.
 	FaultAwareRouter = simnet.FaultAwareRouter
-	// FaultSimConfig tunes RunWithFaults (TTL, retries, backoff).
+	// FaultSimConfig tunes a fault run (TTL, retries, backoff, queues).
 	FaultSimConfig = simnet.FaultConfig
 	// FaultSimResult extends SimResult with fault-path accounting.
 	FaultSimResult = simnet.FaultResult

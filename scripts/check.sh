@@ -25,6 +25,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== perfbench module (vet + test) =="
+# perfbench is its own Go module (replace repro => ../), so the root
+# go build/vet/test never compile it; an exported-name removal that
+# breaks the benchmark would otherwise pass every other gate.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== reprolint =="
 go run ./cmd/reprolint ./...
 
