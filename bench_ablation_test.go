@@ -12,8 +12,9 @@ import (
 //  2. Witness-based isomorphism verification (O(n+m)) versus the generic
 //     backtracking search — the reason the library carries explicit
 //     witnesses for every paper claim.
-//  3. Native de Bruijn self-routing versus precomputed tables — O(D) work
-//     and zero memory versus O(n²) tables.
+//  3. Native de Bruijn self-routing versus precomputed tables — one O(D)
+//     overlap search per packet, then O(1) per hop, and O(D) memory
+//     versus O(n²) tables.
 //  4. Hierholzer versus FKM de Bruijn sequence construction.
 
 // --- Ablation 1: search pruning ---

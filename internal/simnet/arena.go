@@ -56,6 +56,12 @@ type arena struct {
 	// per-cycle sweeps stay dense in cache.
 	pDst, pRel, pDel, pHops, pHolds []int32
 
+	// pRem is the shift-routed kernels' per-packet count of destination
+	// letters still to shift in (DeBruijnRouter.routeLen at injection,
+	// one less per successful push). D ≤ 31 because d^D fits int32, so
+	// int8 holds it. Table-routed runs never size or touch it.
+	pRem []int8
+
 	// SoA link pipelines of the arc-major run engine: fixed-capacity
 	// segments of pipeCap entries per arc in two flat slabs (packet index
 	// and ready cycle), replacing the pointer-chased [][]inflight on the
@@ -167,6 +173,17 @@ func (ar *arena) packetSlabs(p int) (dst, rel, del, hops, holds []int32) {
 	ar.pHops = ar.pHops[:p]
 	ar.pHolds = ar.pHolds[:p]
 	return ar.pDst, ar.pRel, ar.pDel, ar.pHops, ar.pHolds
+}
+
+// remSlab returns the shift-routed per-packet remaining-letters slab
+// resized to p entries. The setup route check writes every routed
+// packet's entry, so no zeroing happens here.
+func (ar *arena) remSlab(p int) []int8 {
+	if cap(ar.pRem) < p {
+		ar.pRem = make([]int8, p)
+	}
+	ar.pRem = ar.pRem[:p]
+	return ar.pRem
 }
 
 // arrivalBatch returns the three gather buffers of the lean arrival

@@ -34,7 +34,8 @@ const (
 	// (NewTableRouter): n² bytes, any strongly-connected digraph.
 	TableRouting
 	// ShiftRouting routes by the de Bruijn congruence left-shift rule
-	// (DeBruijnRouter): O(D) work and O(D) state, valid only on a
+	// (DeBruijnRouter): O(D) state, one O(D) overlap search per packet
+	// at injection and O(1) work per later hop, valid only on a
 	// congruence-form B(d, D) — anything else fails eagerly.
 	ShiftRouting
 	// CustomRouting reports a caller-supplied Router (WithRouter). It is

@@ -1,12 +1,14 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/debruijn"
 	"repro/internal/digraph"
+	"repro/internal/obs"
 	"repro/internal/otis"
 )
 
@@ -43,26 +45,77 @@ func TestNewNetworkRoutingModes(t *testing.T) {
 // differential: the same workload under WithRouting(TableRouting) and
 // WithRouting(ShiftRouting) must produce identical results — the
 // shortest-path next arc in congruence form is unique, so the two
-// routers never disagree.
+// routers never disagree. Beyond the lean kernel it drives every
+// general-path configuration the shift kernel's remaining-letters slab
+// threads through: bounded queues at 2× saturation (holds, where a
+// retry must not consume a letter), a recorder (whose OBS_run/v1
+// document must match too), admission control, and a hop latency of 3.
 func TestShiftRoutingMatchesTableOnNetwork(t *testing.T) {
+	type variant struct {
+		name     string
+		net      []NetworkOption
+		opts     []RunOption
+		recorded bool
+		rated    bool // 2× saturation rated load instead of 4N uniform
+		wantHold bool
+	}
+	bounded := []RunOption{WithQueueCapacity(2)}
 	for _, tc := range []struct{ d, D int }{{2, 6}, {3, 4}, {4, 3}} {
 		g := debruijn.DeBruijn(tc.d, tc.D)
-		tab := tableNet(t, g)
-		shf, err := NewNetwork(g, WithRouting(ShiftRouting))
-		if err != nil {
-			t.Fatal(err)
+		sat, ok := SaturationRate(g)
+		if !ok {
+			t.Fatalf("B(%d,%d): no saturation rate", tc.d, tc.D)
 		}
-		for _, seed := range []int64{1, 9} {
-			a, err := tab.RunOpts(UniformLoad(4*g.N()), WithSeed(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := shf.RunOpts(UniformLoad(4*g.N()), WithSeed(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("B(%d,%d) seed %d: shift routing diverged from table routing", tc.d, tc.D, seed)
+		for _, v := range []variant{
+			{name: "lean"},
+			{name: "bounded", opts: bounded, rated: true, wantHold: true},
+			{name: "recorded", recorded: true},
+			{name: "bounded+recorded", opts: bounded, rated: true, recorded: true, wantHold: true},
+			{name: "admission", opts: []RunOption{WithQueueCapacity(2), WithAdmission(AdmissionConfig{Rate: sat})}, rated: true},
+			{name: "hop3", net: []NetworkOption{WithHopLatency(3)}},
+			{name: "hop3+bounded", net: []NetworkOption{WithHopLatency(3)}, opts: bounded, rated: true, wantHold: true},
+		} {
+			for _, seed := range []int64{1, 9} {
+				run := func(mode RoutingMode) (RunReport, []byte) {
+					nw, err := NewNetwork(g, append([]NetworkOption{WithRouting(mode)}, v.net...)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var load Workload = UniformLoad(4 * g.N())
+					if v.rated {
+						load = RatedLoad(8*g.N(), 2*sat)
+					}
+					opts := append([]RunOption{WithSeed(seed)}, v.opts...)
+					var rec *obs.Recorder
+					if v.recorded {
+						rec = obs.NewRecorder(obs.NewRegistry())
+						opts = append(opts, WithRecorder(rec))
+					}
+					rep, err := nw.RunOpts(load, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var doc []byte
+					if rec != nil {
+						if doc, err = rec.Snapshot().MarshalIndent(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return rep, doc
+				}
+				a, docA := run(TableRouting)
+				b, docB := run(ShiftRouting)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("B(%d,%d) %s seed %d: shift routing diverged from table routing:\n%v\n%v",
+						tc.d, tc.D, v.name, seed, a.Result, b.Result)
+				}
+				if !bytes.Equal(docA, docB) {
+					t.Fatalf("B(%d,%d) %s seed %d: OBS_run/v1 documents differ", tc.d, tc.D, v.name, seed)
+				}
+				if v.wantHold && a.Holds == 0 {
+					t.Fatalf("B(%d,%d) %s seed %d: no holds; the case does not exercise backpressure",
+						tc.d, tc.D, v.name, seed)
+				}
 			}
 		}
 	}

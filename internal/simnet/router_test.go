@@ -180,3 +180,40 @@ func TestShiftNextArcMatchesTableEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftRouteWalkMatchesNextArc pins the fact the cycle kernels'
+// O(1) shift routing rests on: the route is fixed at injection. For
+// every (src, dst) pair, walking the route by routeLen at the source and
+// then one destination letter per hop (letter(dst, rem−1), rem−1 after
+// each hop) must take, hop for hop, the arc the stateless NextArc
+// chooses, keep rem equal to routeLen at every node on the way (the
+// overlap grows by exactly one per hop), and end at dst when rem
+// reaches 0. Covers the power-of-two (shift and mask) and the division
+// digit extraction.
+func TestShiftRouteWalkMatchesNextArc(t *testing.T) {
+	for _, tc := range []struct{ d, D int }{{2, 6}, {3, 4}, {4, 3}, {5, 3}} {
+		g := debruijn.DeBruijn(tc.d, tc.D)
+		r := NewDeBruijnRouter(tc.d, tc.D)
+		n := g.N()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				at := src
+				for rem := r.routeLen(src, dst); rem > 0; rem-- {
+					if got := r.routeLen(at, dst); got != rem {
+						t.Fatalf("B(%d,%d) %d->%d: at %d, %d letters left, routeLen says %d",
+							tc.d, tc.D, src, dst, at, rem, got)
+					}
+					arc := r.letter(dst, rem-1)
+					if want := r.NextArc(at, dst); arc != want {
+						t.Fatalf("B(%d,%d) %d->%d: at %d the walk takes arc %d, NextArc %d",
+							tc.d, tc.D, src, dst, at, arc, want)
+					}
+					at = g.Out(at)[arc]
+				}
+				if at != dst || r.NextArc(at, dst) != -1 {
+					t.Fatalf("B(%d,%d) %d->%d: the walk ends at %d", tc.d, tc.D, src, dst, at)
+				}
+			}
+		}
+	}
+}

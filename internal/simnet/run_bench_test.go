@@ -33,6 +33,33 @@ func BenchmarkPermutationRun(b *testing.B) {
 	}
 }
 
+// BenchmarkShiftRun times one seeded permutation per op on B(2,12)
+// under table routing and under table-free shift routing (one overlap
+// search per packet at injection, then one digit extraction per hop),
+// on the same workload, so the two routing modes compare on one
+// machine. Both report ns/pkt.
+func BenchmarkShiftRun(b *testing.B) {
+	g := debruijn.DeBruijn(2, 12)
+	pkts := Permutation(g.N(), 1)
+	for _, mode := range []RoutingMode{TableRouting, ShiftRouting} {
+		b.Run(mode.String(), func(b *testing.B) {
+			nw, err := NewNetwork(g, WithRouting(mode))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := runFixed(b, nw, pkts).Result
+				if res.Delivered == 0 {
+					b.Fatal("nothing delivered")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/pkt")
+		})
+	}
+}
+
 // BenchmarkReferencePermutationRun runs the same workloads through the
 // frozen packet-at-a-time engine (refRun, the equivalence oracle in
 // engine_reference_test.go), so the arc-major kernel's speedup is

@@ -108,10 +108,14 @@ type shardEngine struct {
 	segCap int
 	hopLat int32
 
-	// Router devirtualization, as in the sequential kernel.
+	// Router devirtualization, as in the sequential kernel. rem is the
+	// engine-wide remaining-letters slab of shift routing (nil
+	// otherwise); like the other packet slabs, each entry is owned by the
+	// lane currently buffering its packet.
 	tArcs []int8
 	tN    int
 	shift *DeBruijnRouter
+	rem   []int8
 
 	// Balanced contiguous partition: the first r shards own q+1 nodes,
 	// the rest q; splitAt = r·(q+1) is the first node of the q-sized
@@ -226,17 +230,22 @@ func (nw *Network) getShardEngine(S int) *shardEngine {
 	return e
 }
 
-// nextArc routes with the devirtualized built-in router, falling back
-// to interface dispatch for custom routers (routers are immutable and
-// safe to share across lanes).
+// nextArc routes packet p out of node at with the devirtualized
+// built-in router, falling back to interface dispatch for custom routers
+// (routers are immutable and safe to share across lanes). Shift routing
+// consumes one of p's remaining letters: sharded queues are unbounded,
+// so every routed packet is pushed.
 //
 //lint:hotpath
-func (e *shardEngine) nextArc(at, dst int) int {
+func (e *shardEngine) nextArc(at, p int) int {
+	dst := int(e.dst[p])
 	if e.tArcs != nil {
 		return int(e.tArcs[at*e.tN+dst])
 	}
-	if e.shift != nil {
-		return e.shift.NextArc(at, dst)
+	if e.rem != nil {
+		r := e.rem[p] - 1
+		e.rem[p] = r
+		return e.shift.letter(dst, int(r))
 	}
 	return e.nw.router.NextArc(at, dst)
 }
@@ -412,7 +421,7 @@ func (e *shardEngine) phaseEnqueue(s int, cycle32 int32) {
 		}
 		la.cursor++
 		at := e.pkts[i].Src
-		arc := e.nextArc(at, int(e.dst[i]))
+		arc := e.nextArc(at, i)
 		if arc < 0 {
 			// Only a custom router reaches this: table/shift injections
 			// were route-prechecked at setup. Matches the sequential
@@ -432,7 +441,7 @@ func (e *shardEngine) phaseEnqueue(s int, cycle32 int32) {
 			p := int(pk)
 			a := inArc[k]
 			v := int(arcHead[a])
-			arc := e.nextArc(v, int(e.dst[p]))
+			arc := e.nextArc(v, p)
 			e.hops[p]++
 			if arc < 0 {
 				la.dropped++
@@ -510,6 +519,10 @@ func (nw *Network) shardRun(packets []Packet, tun runTuning, shards, workers int
 		tArcs, tN = tr.arcs, tr.n
 	}
 	shift := nw.shift
+	var rem []int8
+	if shift != nil {
+		rem = ar.remSlab(len(pkts))
+	}
 
 	res := Result{}
 	remaining := 0
@@ -536,7 +549,8 @@ func (nw *Network) shardRun(packets []Packet, tun runTuning, shards, workers int
 		case tArcs != nil:
 			arc = int(tArcs[pkts[i].Src*tN+pkts[i].Dst])
 		case shift != nil:
-			arc = shift.NextArc(pkts[i].Src, pkts[i].Dst)
+			// The packet's one overlap search (see run).
+			rem[i] = int8(shift.routeLen(pkts[i].Src, pkts[i].Dst))
 		default:
 			arc = nw.router.NextArc(pkts[i].Src, pkts[i].Dst)
 		}
@@ -553,7 +567,7 @@ func (nw *Network) shardRun(packets []Packet, tun runTuning, shards, workers int
 	e := nw.getShardEngine(shards)
 	e.segCap = segCap
 	e.hopLat = int32(nw.cfg.HopLatency)
-	e.tArcs, e.tN, e.shift = tArcs, tN, shift
+	e.tArcs, e.tN, e.shift, e.rem = tArcs, tN, shift, rem
 	e.pkts, e.order = pkts, order
 	e.dst, e.rel, e.del, e.hops = dst, rel, del, hops
 	e.qHead, e.qTail, e.qLen, e.pNext = qHead, qTail, qLen, pNext

@@ -16,6 +16,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -162,12 +163,22 @@ func (r *TableRouter) NextArc(at, dst int) int {
 func (r *TableRouter) Footprint() int { return len(r.arcs) + 4*len(r.wide) }
 
 // DeBruijnRouter routes natively on B(d, D) congruence labels using the
-// left-shift rule — no tables, O(D) work per decision, exactly the
-// self-routing the de Bruijn literature advertises.
+// left-shift rule — no tables, O(D) state, exactly the self-routing the
+// de Bruijn literature advertises. A stateless decision (NextArc)
+// searches for the largest word overlap, O(D) integer ops. The route it
+// starts is fixed from then on: if at has overlap k with dst, the node
+// reached by shifting in dst's next letter has overlap exactly k+1 (a
+// larger one would contradict the maximality of k at at). So the cycle
+// kernels run the search once per packet at injection (routeLen), keep
+// the count of letters still to shift in, and route every later hop by
+// extracting one digit of dst (letter) — O(1) per hop.
 type DeBruijnRouter struct {
 	d, D int
 	n    int   // d^D, precomputed with an overflow-guarded power
 	pow  []int // pow[i] = d^i for i in [0, D]
+	// lg is log2 d when d ≥ 2 is a power of two, 0 otherwise: digits
+	// then come from shifts and masks instead of divisions.
+	lg uint
 }
 
 // NewDeBruijnRouter returns the native router for B(d, D).
@@ -178,30 +189,74 @@ func NewDeBruijnRouter(d, D int) *DeBruijnRouter {
 	for i := 1; i <= D; i++ {
 		pow[i] = pow[i-1] * d
 	}
-	return &DeBruijnRouter{d: d, D: D, n: n, pow: pow}
+	var lg uint
+	if d >= 2 && d&(d-1) == 0 {
+		lg = uint(bits.TrailingZeros(uint(d)))
+	}
+	return &DeBruijnRouter{d: d, D: D, n: n, pow: pow, lg: lg}
+}
+
+// overlap returns the largest k < D with at ≡ ⌊dst/d^(D−k)⌋ (mod d^k):
+// at's low-order k digits equal dst's high-order k digits. k = 0 always
+// matches. O(D) integer ops; when d is a power of two the comparison is
+// a mask against a shift, with no division.
+//
+//lint:hotpath
+func (r *DeBruijnRouter) overlap(at, dst int) int {
+	pow := r.pow
+	k := r.D - 1
+	if r.lg != 0 {
+		for ; k > 0; k-- {
+			if at&(pow[k]-1) == dst>>(uint(r.D-k)*r.lg) {
+				break
+			}
+		}
+		return k
+	}
+	for ; k > 0; k-- {
+		if at%pow[k] == dst/pow[r.D-k] {
+			break
+		}
+	}
+	return k
+}
+
+// letter returns digit i of dst (position 0 is the low-order digit): the
+// letter to shift in when i+1 letters of the route remain. O(1).
+//
+//lint:hotpath
+func (r *DeBruijnRouter) letter(dst, i int) int {
+	if r.lg != 0 {
+		return (dst >> (uint(i) * r.lg)) & (r.d - 1)
+	}
+	return dst / r.pow[i] % r.d
+}
+
+// routeLen returns the number of letters the shift route from at to dst
+// shifts in, D − overlap(at, dst) (0 when at = dst): its hop count. The
+// first hop is letter(dst, routeLen−1) and each later hop the next lower
+// digit, so a kernel that stores the count routes every hop in O(1).
+//
+//lint:hotpath
+func (r *DeBruijnRouter) routeLen(at, dst int) int {
+	if at == dst {
+		return 0
+	}
+	return r.D - r.overlap(at, dst)
 }
 
 // NextArc implements Router. In congruence form the successor via letter α
 // is (d·u + α) mod d^D, which is adjacency position α; the canonical
-// shortest path shifts in the destination's remaining letters. The first
-// such letter falls out of pure division arithmetic: with k the largest
-// overlap below D — at ≡ ⌊dst/d^(D−k)⌋ (mod d^k), i.e. at's low-order k
-// digits equal dst's high-order k digits — the letter to shift in next is
-// dst's digit at position D−k−1. O(D) integer ops, no allocation.
+// shortest path shifts in the destination's remaining letters. With k the
+// largest overlap below D, the letter to shift in next is dst's digit at
+// position D−k−1. O(D) integer ops, no allocation.
 //
 //lint:hotpath
 func (r *DeBruijnRouter) NextArc(at, dst int) int {
 	if at == dst {
 		return -1
 	}
-	pow := r.pow
-	k := r.D - 1
-	for ; k > 0; k-- {
-		if at%pow[k] == dst/pow[r.D-k] {
-			break
-		}
-	}
-	return (dst / pow[r.D-k-1]) % r.d
+	return r.letter(dst, r.D-r.overlap(at, dst)-1)
 }
 
 // Packet is one simulated datagram.
@@ -436,9 +491,12 @@ type runState struct {
 	rec    *obs.Recorder
 	// tArcs/tN devirtualize TableRouter: the run loop gathers next hops
 	// straight from the router slab instead of through the interface
-	// (nil: dynamic dispatch, e.g. DeBruijnRouter or a recordingRouter).
-	tArcs    []int8
-	tN       int
+	// (nil: shift routing or dynamic dispatch, e.g. a recordingRouter).
+	tArcs []int8
+	tN    int
+	// rem routes table-free in O(1) per hop with nw.shift: rem[pkt]
+	// letters of dst remain to shift in (nil: not shift-routed).
+	rem      []int8
 	qcap     int // per-arc queue bound (0: unbounded)
 	resident int // packets currently buffered in queues + pipelines
 }
@@ -462,9 +520,14 @@ func (rs *runState) leave() { rs.resident-- }
 //lint:hotpath
 func (rs *runState) enqueue(at, pkt int) enqStatus {
 	var arc int
-	if rs.tArcs != nil {
+	switch {
+	case rs.tArcs != nil:
 		arc = int(rs.tArcs[at*rs.tN+int(rs.dst[pkt])])
-	} else {
+	case rs.rem != nil:
+		// Reads the same letter on every retry: only a successful push
+		// below consumes it.
+		arc = rs.nw.shift.letter(int(rs.dst[pkt]), int(rs.rem[pkt])-1)
+	default:
 		arc = rs.nw.router.NextArc(at, int(rs.dst[pkt]))
 	}
 	if arc < 0 {
@@ -482,6 +545,9 @@ func (rs *runState) enqueue(at, pkt int) enqStatus {
 	}
 	//lint:ignore slabindex pkt < len(pkts), dominated by run's guardIndexInt32
 	q.push(int32(pkt))
+	if rs.rem != nil {
+		rs.rem[pkt]--
+	}
 	rs.qBits[flat>>6] |= 1 << (uint32(flat) & 63)
 	depth := q.depth()
 	if depth > rs.res.MaxQueue {
@@ -586,23 +652,28 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 	holdq := ar.holdq[:0]
 
 	// Devirtualize the built-in routers: the hot loop gathers next hops
-	// from the table slab, or computes them with the closed-form de
-	// Bruijn shift rule, without the interface call (recorded or custom
-	// routers keep dynamic dispatch). shift is the table-free routing
-	// mode — no n² slab exists at all, which is what admits million-node
-	// graphs.
+	// from the table slab, or shifts in the destination's next letter,
+	// without the interface call (recorded or custom routers keep
+	// dynamic dispatch). shift is the table-free routing mode — no n²
+	// slab exists at all, which is what admits million-node graphs.
 	var tArcs []int8
 	tN := 0
 	if tr, ok := nw.router.(*TableRouter); ok {
 		tArcs, tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
 	}
 	shift := nw.shift
+	var rem []int8
+	if shift != nil {
+		rem = ar.remSlab(len(pkts))
+	}
 
 	res := Result{}
 	remaining := 0
 	horizon := int32(maxCycles) + 1
 	// Route-or-drop at injection time; survivors are injected in sorted
 	// (Release, index) order via a cursor — no per-cycle map lookups.
+	// Under shift routing this is the packet's one overlap search: it
+	// fixes the whole route, stored as the letter count rem[i].
 	order := ar.order[:0]
 	for i := range pkts {
 		pkts[i].Delivered = -1
@@ -628,7 +699,8 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 		case tArcs != nil:
 			arc = int(tArcs[pkts[i].Src*tN+pkts[i].Dst])
 		case shift != nil:
-			arc = shift.NextArc(pkts[i].Src, pkts[i].Dst)
+			// Src ≠ Dst, so the route shifts in at least one letter.
+			rem[i] = int8(shift.routeLen(pkts[i].Src, pkts[i].Dst))
 		default:
 			arc = nw.router.NextArc(pkts[i].Src, pkts[i].Dst)
 		}
@@ -648,7 +720,7 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 
 	rs := runState{
 		nw: nw, dst: dst, holds: holds, queues: queues, qBits: qBits,
-		res: &res, rec: rec, tArcs: tArcs, tN: tN, qcap: tun.qcap,
+		res: &res, rec: rec, tArcs: tArcs, tN: tN, rem: rem, qcap: tun.qcap,
 	}
 	admit := tun.admit
 	arcHead := nw.arcHead
@@ -693,7 +765,9 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 				if tArcs != nil {
 					arc = int32(tArcs[at*tN+int(dst[i])])
 				} else {
-					arc = int32(shift.NextArc(at, int(dst[i])))
+					r := rem[i] - 1
+					rem[i] = r
+					arc = int32(shift.letter(int(dst[i]), int(r)))
 				}
 				flat := nw.arcBase[at] + arc
 				if qLen[flat] == 0 {
@@ -820,15 +894,20 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 			// Pass 2: route the whole batch — under table routing a pass
 			// of independent slab gathers (pass 1 left each packet's
 			// destination in arrArc, so every iteration is a single load
-			// with no dependent chain); under shift routing a pass of
-			// closed-form O(D) decisions touching no routing state at all.
+			// with no dependent chain); under shift routing a pass of O(1)
+			// digit extractions, each consuming one of the packet's
+			// remaining letters (lean pushes never refuse, so every
+			// routed packet is pushed in pass 3).
 			if tArcs != nil {
 				for k := 0; k < na; k++ {
 					arrArc[k] = int32(tArcs[int(arrNode[k])*tN+int(arrArc[k])])
 				}
 			} else {
 				for k := 0; k < na; k++ {
-					arrArc[k] = int32(shift.NextArc(int(arrNode[k]), int(arrArc[k])))
+					p := arrPkt[k]
+					r := rem[p] - 1
+					rem[p] = r
+					arrArc[k] = int32(shift.letter(int(arrArc[k]), int(r)))
 				}
 			}
 			// Pass 3: enqueue in the same ascending arc order the

@@ -454,8 +454,9 @@ const (
 	AutoRouting = simnet.AutoRouting
 	// TableRouting precomputes the O(n²) shortest-path next-hop slab.
 	TableRouting = simnet.TableRouting
-	// ShiftRouting routes by the O(D) de Bruijn shift closed form;
-	// requires a congruence-form B(d, D) digraph.
+	// ShiftRouting routes by the de Bruijn left shift: one O(D) overlap
+	// search per packet, then O(1) per hop; requires a congruence-form
+	// B(d, D) digraph.
 	ShiftRouting = simnet.ShiftRouting
 	// CustomRouting reports a caller-supplied Router (WithRouter).
 	CustomRouting = simnet.CustomRouting

@@ -43,13 +43,19 @@ go test -race ./internal/...
 echo "== determinism double-run (byte-identical trace + OBS_run/v1) =="
 go test ./internal/simnet -run SeededRunIsByteIdentical -count=2
 
-echo "== shard determinism double-run (sequential equivalence + worker matrix) =="
+echo "== shard determinism double-run (sequential equivalence + worker matrix + shift routing) =="
 go test ./internal/simnet \
-    -run 'ShardRunMatchesSequential|ShardWorkerCountDeterminism' -count=2
+    -run 'ShardRunMatchesSequential|ShardWorkerCountDeterminism|ShiftRouteWalk|ShiftRoutingMatchesTable' \
+    -count=2
 
-echo "== sharded table-free smoke run =="
+echo "== table-free smoke runs (sharded and sequential) =="
 go run ./cmd/simulate -topo debruijn -d 2 -diam 14 -routing shift -shards 4 \
     -workload permutation > /dev/null
+go run ./cmd/simulate -topo debruijn -d 2 -diam 14 -routing shift -shards 1 \
+    -workload permutation > /dev/null
+
+echo "== routing benchmark smoke (table vs shift, one iteration) =="
+go test ./internal/simnet -run '^$' -bench 'ShiftRun' -benchtime 1x > /dev/null
 
 echo "== chaos smoke (seeded random fault plans) =="
 go test ./internal/simnet -run Chaos -count=1
