@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/debruijn"
+	"repro/internal/digraph"
 )
 
 // BenchmarkPermutationRun is the package-local twin of the cmd/bench
@@ -84,4 +85,65 @@ func BenchmarkReferencePermutationRun(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/pkt")
 		})
 	}
+}
+
+// BenchmarkTableRouter times the routing-table fill on B(3,7): a
+// from-scratch NewTableRouter (build), and Repair of the busiest arc,
+// the one whose tail routes the most destinations over it (repair,
+// the self-healing layer's per-epoch cost, as in perfbench's
+// kernel-b37 fault plan).
+func BenchmarkTableRouter(b *testing.B) {
+	benchTableFill(b, NewTableRouter, (*TableRouter).Repair)
+}
+
+// BenchmarkReferenceTableRouter runs the same two fills through the
+// frozen per-destination BFS (table_reference_test.go), so the sweep's
+// speedup is measurable on one machine.
+func BenchmarkReferenceTableRouter(b *testing.B) {
+	benchTableFill(b, refTableRouter, refRepair)
+}
+
+func benchTableFill(b *testing.B, build func(*digraph.Digraph) *TableRouter, repair func(*TableRouter, *digraph.Digraph, []Arc) (*TableRouter, error)) {
+	g := debruijn.DeBruijn(3, 7)
+	base := NewTableRouter(g)
+	dead := []Arc{busiestArc(g, base)}
+	b.Run("build/B(3,7)", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tableSink = build(g)
+		}
+	})
+	b.Run("repair/B(3,7)", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r, err := repair(base, g, dead)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tableSink = r
+		}
+	})
+}
+
+// tableSink keeps the benchmarked fills from being optimized away.
+var tableSink *TableRouter
+
+// busiestArc returns the arc that r routes the most destinations over.
+func busiestArc(g *digraph.Digraph, r *TableRouter) Arc {
+	var best Arc
+	bestCount := -1
+	for u := 0; u < g.N(); u++ {
+		count := make([]int, g.OutDegree(u))
+		for dst := 0; dst < g.N(); dst++ {
+			if k := r.NextArc(u, dst); k >= 0 {
+				count[k]++
+			}
+		}
+		for k, c := range count {
+			if c > bestCount {
+				best, bestCount = Arc{Tail: u, Index: k}, c
+			}
+		}
+	}
+	return best
 }

@@ -42,8 +42,9 @@ type Router interface {
 // ordered pair replaces the two ragged n×n []int tables the router
 // historically kept (next-hop vertices plus a memoized arc index —
 // ≈2·n²·8 bytes), and the arc index is derived directly during the
-// reverse-BFS pass instead of by an O(n²·deg) scan afterwards. The slab
-// is immutable after construction and safe to share across goroutines.
+// BFS sweep that fills the slab (repair.go) instead of by an
+// O(n²·deg) scan afterwards. The slab is immutable after construction
+// and safe to share across goroutines.
 type TableRouter struct {
 	n    int
 	arcs []int8  // nil ⇔ some out-degree exceeds math.MaxInt8
@@ -72,80 +73,24 @@ func guardIndexInt32(count int, what string) {
 	}
 }
 
-// NewTableRouter builds the shortest-path arc slab for g.
+// NewTableRouter builds the shortest-path arc slab for g: one
+// bit-parallel BFS sweep (fillTable) per block of 64 destinations.
 func NewTableRouter(g *digraph.Digraph) *TableRouter {
 	n := g.N()
 	guardIndexInt32(n, "nodes")
-	guardIndexInt32(g.M(), "arcs")
-	// CSR of the reverse digraph with the forward arc index carried
-	// alongside each reversed arc: entry (u, k) at head v means arc k of
-	// u points to v. Discovering u from v in a reverse BFS rooted at dst
-	// then yields the routing decision (forward on arc k) immediately.
-	base := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		for _, v := range g.Out(u) {
-			base[v+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		base[v+1] += base[v]
-	}
-	revTail := make([]int32, g.M())
-	revArc := make([]int32, g.M())
-	fill := make([]int32, n)
-	for u := 0; u < n; u++ {
-		for k, v := range g.Out(u) {
-			slot := base[v] + fill[v]
-			revTail[slot] = int32(u)
-			revArc[slot] = int32(k)
-			fill[v]++
-		}
-	}
-
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		if deg := g.OutDegree(u); deg > maxDeg {
-			maxDeg = deg
-		}
-	}
-	narrow := maxDeg <= math.MaxInt8
-	var arcs []int8
-	var wide []int32
-	if narrow {
-		arcs = make([]int8, n*n)
-		for i := range arcs {
-			arcs[i] = -1
-		}
+	c := newTableCSR(g)
+	r := &TableRouter{n: n}
+	if c.maxDeg <= math.MaxInt8 {
+		r.arcs = make([]int8, n*n)
 	} else {
-		wide = make([]int32, n*n)
-		for i := range wide {
-			wide[i] = -1
-		}
+		r.wide = make([]int32, n*n)
 	}
-	seen := make([]int32, n) // epoch marks: seen[u] == dst+1 ⇔ visited this pass
-	queue := make([]int32, 0, n)
-	for dst := 0; dst < n; dst++ {
-		epoch := int32(dst + 1)
-		seen[dst] = epoch
-		queue = append(queue[:0], int32(dst))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for idx := base[v]; idx < base[v+1]; idx++ {
-				u := revTail[idx]
-				if seen[u] == epoch {
-					continue
-				}
-				seen[u] = epoch
-				if narrow {
-					arcs[int(u)*n+dst] = int8(revArc[idx])
-				} else {
-					wide[int(u)*n+dst] = revArc[idx]
-				}
-				queue = append(queue, u)
-			}
-		}
+	dsts := make([]int32, n)
+	for dst := range dsts {
+		dsts[dst] = int32(dst)
 	}
-	return &TableRouter{n: n, arcs: arcs, wide: wide}
+	r.fill(c, dsts, nil)
+	return r
 }
 
 // NextArc implements Router.

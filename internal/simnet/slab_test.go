@@ -103,16 +103,6 @@ func TestTableRouterFootprint(t *testing.T) {
 	}
 }
 
-// BenchmarkTableRouterBuild measures slab construction; B/op here is the
-// number the PR's ≥2× router-construction reduction is claimed against.
-func BenchmarkTableRouterBuild(b *testing.B) {
-	g := debruijn.DeBruijn(3, 6)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NewTableRouter(g)
-	}
-}
-
 // checkFaultAccounting asserts the invariant Delivered + Dropped ==
 // Offered and that the drop buckets partition Dropped.
 func checkFaultAccounting(t *testing.T, res FaultResult, offered int) {

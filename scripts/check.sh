@@ -57,6 +57,9 @@ go run ./cmd/simulate -topo debruijn -d 2 -diam 14 -routing shift -shards 1 \
 echo "== routing benchmark smoke (table vs shift, one iteration) =="
 go test ./internal/simnet -run '^$' -bench 'ShiftRun' -benchtime 1x > /dev/null
 
+echo "== table-fill benchmark smoke (build and busiest-arc repair, one iteration) =="
+go test ./internal/simnet -run '^$' -bench 'TableRouter' -benchtime 1x > /dev/null
+
 echo "== chaos smoke (seeded random fault plans) =="
 go test ./internal/simnet -run Chaos -count=1
 
