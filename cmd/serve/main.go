@@ -242,11 +242,12 @@ func registerAPI(mux *http.ServeMux, sched *serve.Scheduler, n int) {
 	})
 }
 
+// writeJSON encodes v compactly: responses are read by programs, and
+// indenting them cost the server more CPU than the JSON encoding
+// itself. /v1/slo keeps its indented SLO_report/v1 form.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		fmt.Fprintf(os.Stderr, "serve: response write: %v\n", err)
 	}
 }

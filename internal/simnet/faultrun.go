@@ -503,6 +503,7 @@ func (nw *Network) runDeparture(packets []Packet, state *FaultState, cfg FaultCo
 						continue
 					}
 					busy[arc] = token
+					flat := nw.arcBase[u] + int32(arc)
 					if s != nil {
 						a := Arc{Tail: u, Index: arc}
 						if s.state.ArcDown(u, arc) {
@@ -515,7 +516,7 @@ func (nw *Network) runDeparture(packets []Packet, state *FaultState, cfg FaultCo
 							keep = append(keep, i32)
 							continue
 						}
-						delete(s.heal.suspicion, a)
+						s.heal.suspicion[flat] = 0
 						if s.cfg.Monitor != nil {
 							s.cfg.Monitor.ArcOK(start+cycle, a)
 						}
@@ -528,7 +529,6 @@ func (nw *Network) runDeparture(packets []Packet, state *FaultState, cfg FaultCo
 						emit(Event{Cycle: cycle, Kind: EventReroute, Packet: p.ID, Node: u, Peer: next})
 					}
 					emit(Event{Cycle: cycle, Kind: EventDepart, Packet: p.ID, Node: u, Peer: next})
-					flat := nw.arcBase[u] + int32(arc)
 					pipes[flat] = append(pipes[flat], inflight{pkt: i, ready: cycle + cfg.HopLatency})
 					aBits[flat>>6] |= 1 << (uint32(flat) & 63)
 				}

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/digraph"
@@ -220,15 +221,27 @@ func (s span) contains(cycle int) bool {
 	return cycle >= s.start && (s.end < 0 || cycle < s.end)
 }
 
+// arcSpan is a down interval of the out-arc at adjacency position index
+// of the tail whose span run holds it.
+type arcSpan struct {
+	span
+	index int
+}
+
 // FaultState is a compiled FaultPlan bound to a digraph: per-arc and
 // per-node down intervals, with a current-cycle cursor the run loop
-// advances. It answers "is this arc/node down right now?" in O(#spans on
-// that arc) and exposes a version counter for the set of *active
-// permanent* faults so routers know when to recompute residual paths.
+// advances. The intervals live in two flat slabs indexed by vertex, CSR
+// style: the spans of tail u's out-arcs are arcSpans[tailOff[u]:
+// tailOff[u+1]] and those of node faults on u are nodeSpans[nodeOff[u]:
+// nodeOff[u+1]], each run in plan order. "Is this arc/node down right
+// now?" is then a slice index plus a scan of that vertex's few spans,
+// with no hashing. A version counter for the set of *active permanent*
+// faults tells routers when to recompute residual paths.
 type FaultState struct {
-	g         *digraph.Digraph
-	arcSpans  map[Arc][]span
-	nodeSpans map[int][]span
+	g                *digraph.Digraph
+	tailOff, nodeOff []int // nil for an empty plan
+	arcSpans         []arcSpan
+	nodeSpans        []span
 	// permStarts holds the start cycles of permanent arc faults, sorted;
 	// PermanentVersion is the count of starts <= current cycle.
 	permStarts []int
@@ -237,73 +250,101 @@ type FaultState struct {
 
 // Compile validates the plan against g and expands node and lens faults
 // to their arc groups: a node fault downs all out-arcs and in-arcs of
-// the node, a lens fault downs its listed group.
+// the node, a lens fault downs its listed group. It makes two passes
+// over the plan, one counting each vertex's spans and one placing them,
+// so the slabs are built with no intermediate maps.
 func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
-	st := &FaultState{
-		g:         g,
-		arcSpans:  map[Arc][]span{},
-		nodeSpans: map[int][]span{},
-		cycle:     -1,
-	}
+	st := &FaultState{g: g, cycle: -1}
 	if p == nil {
 		return st, nil
 	}
 	if p.err != nil {
 		return nil, p.err
 	}
-	n := g.N()
-	addArc := func(a Arc, sp span) error {
-		if a.Tail < 0 || a.Tail >= n || a.Index < 0 || a.Index >= g.OutDegree(a.Tail) {
-			return fmt.Errorf("simnet: fault arc (%d#%d) out of range", a.Tail, a.Index)
-		}
-		st.arcSpans[a] = append(st.arcSpans[a], sp)
-		if sp.end < 0 {
-			st.permStarts = append(st.permStarts, sp.start)
-		}
-		return nil
+	if len(p.faults) == 0 {
+		return st, nil
 	}
+	n := g.N()
+	// in lists the tails of the arcs into each node: a node fault also
+	// downs its in-arcs.
+	var in *tableCSR
 	for _, f := range p.faults {
 		if err := validateFault(f, g); err != nil {
 			return nil, err
 		}
-		sp := span{start: f.Start, end: -1}
-		if !f.Permanent() {
-			sp.end = f.Start + f.Duration
-		}
 		switch f.Kind {
-		case FaultLink:
-			if err := addArc(f.Arc, sp); err != nil {
-				return nil, err
-			}
+		case FaultLink, FaultLens:
 		case FaultNode:
-			if f.Node < 0 || f.Node >= n {
-				return nil, fmt.Errorf("simnet: fault node %d out of range [0,%d)", f.Node, n)
-			}
-			st.nodeSpans[f.Node] = append(st.nodeSpans[f.Node], sp)
-			for k := 0; k < g.OutDegree(f.Node); k++ {
-				if err := addArc(Arc{Tail: f.Node, Index: k}, sp); err != nil {
-					return nil, err
-				}
-			}
-			for u := 0; u < n; u++ {
-				for k, v := range g.Out(u) {
-					if v == f.Node && u != f.Node {
-						if err := addArc(Arc{Tail: u, Index: k}, sp); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
-		case FaultLens:
-			for _, a := range f.Arcs {
-				if err := addArc(a, sp); err != nil {
-					return nil, err
-				}
+			if in == nil {
+				in = newTableCSR(g)
 			}
 		default:
 			return nil, fmt.Errorf("simnet: unknown fault kind %v", f.Kind)
 		}
 	}
+	// visit calls arc for every arc span and node for every node span
+	// the plan expands to, in plan order.
+	visit := func(arc func(a Arc, sp span), node func(u int, sp span)) {
+		for _, f := range p.faults {
+			sp := span{start: f.Start, end: -1}
+			if !f.Permanent() {
+				sp.end = f.Start + f.Duration
+			}
+			switch f.Kind {
+			case FaultLink:
+				arc(f.Arc, sp)
+			case FaultNode:
+				node(f.Node, sp)
+				for k := range g.Out(f.Node) {
+					arc(Arc{Tail: f.Node, Index: k}, sp)
+				}
+				// In-arcs in (tail, index) order, loops excluded: the
+				// loop is an out-arc, already downed above.
+				prev := int32(-1)
+				for _, u := range in.revTail[in.revBase[f.Node]:in.revBase[f.Node+1]] {
+					if int(u) == f.Node || u == prev {
+						continue // parallel arcs list their tail once each
+					}
+					prev = u
+					for k, v := range g.Out(int(u)) {
+						if v == f.Node {
+							arc(Arc{Tail: int(u), Index: k}, sp)
+						}
+					}
+				}
+			case FaultLens:
+				for _, a := range f.Arcs {
+					arc(a, sp)
+				}
+			}
+		}
+	}
+
+	// Pass 1: count each vertex's spans into offsets shifted by one.
+	st.tailOff = make([]int, n+1)
+	st.nodeOff = make([]int, n+1)
+	visit(func(a Arc, sp span) { st.tailOff[a.Tail+1]++ },
+		func(u int, sp span) { st.nodeOff[u+1]++ })
+	for u := 0; u < n; u++ {
+		st.tailOff[u+1] += st.tailOff[u]
+		st.nodeOff[u+1] += st.nodeOff[u]
+	}
+	st.arcSpans = make([]arcSpan, st.tailOff[n])
+	st.nodeSpans = make([]span, st.nodeOff[n])
+
+	// Pass 2: place the spans, bumping a copy of each start offset.
+	tailNext := slices.Clone(st.tailOff)
+	nodeNext := slices.Clone(st.nodeOff)
+	visit(func(a Arc, sp span) {
+		st.arcSpans[tailNext[a.Tail]] = arcSpan{span: sp, index: a.Index}
+		tailNext[a.Tail]++
+		if sp.end < 0 {
+			st.permStarts = append(st.permStarts, sp.start)
+		}
+	}, func(u int, sp span) {
+		st.nodeSpans[nodeNext[u]] = sp
+		nodeNext[u]++
+	})
 	sort.Ints(st.permStarts)
 	return st, nil
 }
@@ -329,13 +370,16 @@ func (s *FaultState) ArcDown(tail, index int) bool {
 }
 
 // ArcDownAt reports whether the arc at (tail, index) is down at the
-// given cycle.
+// given cycle. An arc outside the digraph is never down. It answers
+// every transmission attempt of a fault or self-healing run.
+//
+//lint:hotpath
 func (s *FaultState) ArcDownAt(tail, index, cycle int) bool {
-	if s == nil || len(s.arcSpans) == 0 {
+	if s == nil || tail < 0 || tail >= len(s.tailOff)-1 {
 		return false
 	}
-	for _, sp := range s.arcSpans[Arc{Tail: tail, Index: index}] {
-		if sp.contains(cycle) {
+	for _, sp := range s.arcSpans[s.tailOff[tail]:s.tailOff[tail+1]] {
+		if sp.index == index && sp.contains(cycle) {
 			return true
 		}
 	}
@@ -345,11 +389,13 @@ func (s *FaultState) ArcDownAt(tail, index, cycle int) bool {
 // NodeDown reports whether a node fault is active on node at the current
 // cycle. (Arc faults touching the node are reported by ArcDown, not
 // here.)
+//
+//lint:hotpath
 func (s *FaultState) NodeDown(node int) bool {
-	if s == nil || len(s.nodeSpans) == 0 {
+	if s == nil || node < 0 || node >= len(s.nodeOff)-1 {
 		return false
 	}
-	for _, sp := range s.nodeSpans[node] {
+	for _, sp := range s.nodeSpans[s.nodeOff[node]:s.nodeOff[node+1]] {
 		if sp.contains(s.cycle) {
 			return true
 		}
@@ -360,11 +406,11 @@ func (s *FaultState) NodeDown(node int) bool {
 // ArcPermanentlyDown reports whether a permanent fault covering the arc
 // is active at the current cycle.
 func (s *FaultState) ArcPermanentlyDown(tail, index int) bool {
-	if s == nil || len(s.arcSpans) == 0 {
+	if s == nil || tail < 0 || tail >= len(s.tailOff)-1 {
 		return false
 	}
-	for _, sp := range s.arcSpans[Arc{Tail: tail, Index: index}] {
-		if sp.end < 0 && s.cycle >= sp.start {
+	for _, sp := range s.arcSpans[s.tailOff[tail]:s.tailOff[tail+1]] {
+		if sp.index == index && sp.end < 0 && s.cycle >= sp.start {
 			return true
 		}
 	}

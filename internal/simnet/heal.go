@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/digraph"
 	"repro/internal/obs"
@@ -140,7 +139,8 @@ type SelfHealing struct {
 	cfg   HealConfig
 	clock int
 
-	quarantined map[Arc]bool
+	// quarantined flags the monitor's quarantined arcs by flat index.
+	quarantined []bool
 }
 
 // SelfHeal compiles the plan and opens a self-healing session. The
@@ -159,9 +159,9 @@ func (nw *Network) SelfHeal(plan *FaultPlan, cfg HealConfig) (*SelfHealing, erro
 	return &SelfHealing{
 		nw:          nw,
 		state:       state,
-		heal:        newHealState(nw.g, base),
+		heal:        newHealState(nw.g, base, nw.arcBase),
 		cfg:         nw.healConfig(cfg),
-		quarantined: map[Arc]bool{},
+		quarantined: make([]bool, len(nw.arcHead)),
 	}, nil
 }
 
@@ -181,16 +181,12 @@ func (s *SelfHealing) BelievedDown() []Arc { return s.heal.downSet(len(s.heal.ev
 
 // Quarantined returns the currently quarantined arcs, sorted.
 func (s *SelfHealing) Quarantined() []Arc {
-	out := make([]Arc, 0, len(s.quarantined))
-	for a := range s.quarantined {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tail != out[j].Tail {
-			return out[i].Tail < out[j].Tail
+	out := []Arc{}
+	for f, q := range s.quarantined {
+		if q {
+			out = append(out, s.heal.arc(f))
 		}
-		return out[i].Index < out[j].Index
-	})
+	}
 	return out
 }
 
@@ -213,11 +209,11 @@ func (s *SelfHealing) beginCycle(abs int, res *HealResult, rec *obs.Recorder) er
 	// Circuit breaker transitions and half-open probes.
 	if mon := s.cfg.Monitor; mon != nil {
 		quarantine, release, probe := mon.Tick(abs)
-		for _, a := range quarantine {
-			s.quarantined[a] = true
+		if err := s.flag(quarantine, true); err != nil {
+			return err
 		}
-		for _, a := range release {
-			delete(s.quarantined, a)
+		if err := s.flag(release, false); err != nil {
+			return err
 		}
 		for _, a := range probe {
 			res.Probes++
@@ -254,6 +250,18 @@ func (s *SelfHealing) beginCycle(abs int, res *HealResult, rec *obs.Recorder) er
 	return nil
 }
 
+// flag sets the quarantine flag of each arc to q.
+func (s *SelfHealing) flag(arcs []Arc, q bool) error {
+	g := s.nw.g
+	for _, a := range arcs {
+		if a.Tail < 0 || a.Tail >= g.N() || a.Index < 0 || a.Index >= g.OutDegree(a.Tail) {
+			return fmt.Errorf("simnet: heal: monitor arc (%d#%d) out of range", a.Tail, a.Index)
+		}
+		s.quarantined[s.heal.flat(a)] = q
+	}
+	return nil
+}
+
 // gossipLive reports physical arc liveness for flood steps: link-state
 // updates travel only over arcs that actually work.
 func (s *SelfHealing) gossipLive(tail, index int) bool { return !s.state.ArcDown(tail, index) }
@@ -271,12 +279,13 @@ func (s *SelfHealing) nack(a Arc, abs int, res *HealResult, rec *obs.Recorder) e
 	if mon != nil {
 		mon.ArcFailed(abs, a)
 	}
-	h.suspicion[a]++
-	if h.suspicion[a] >= s.cfg.SuspectThreshold && !h.activeDown(a) {
+	f := h.flat(a)
+	h.suspicion[f]++
+	if h.suspicion[f] >= s.cfg.SuspectThreshold && !h.activeDown(f) {
 		if err := h.commit(a, false, abs); err != nil {
 			return err
 		}
-		delete(h.suspicion, a)
+		h.suspicion[f] = 0
 		res.Detections++
 		res.EventsCommitted++
 		if rec != nil {
@@ -302,15 +311,13 @@ func (s *SelfHealing) finish(res *HealResult, rec *obs.Recorder) {
 // routeArc is the self-healed routing decision at node u for dst: the
 // epoch slab of u's knowledge, overridden by directly-observed failures
 // and quarantines, with distance-ranked deflection as the fallback.
+//
+//lint:hotpath
 func (s *SelfHealing) routeArc(u, dst int, rec *obs.Recorder) int {
 	h := s.heal
-	usable := func(k int) bool {
-		a := Arc{Tail: u, Index: k}
-		return !s.quarantined[a] && !h.believedDown(u, a)
-	}
-	r := h.routerFor(h.knownEpoch(u), rec)
-	arc := r.NextArc(u, dst)
-	if arc >= 0 && usable(arc) {
+	arc := h.slabArc(h.epoch(u), u, dst, rec)
+	first := int(s.nw.arcBase[u])
+	if arc >= 0 && s.usable(u, first+arc) {
 		return arc
 	}
 	// The slab's choice is believed dead or quarantined (or dst is
@@ -321,7 +328,7 @@ func (s *SelfHealing) routeArc(u, dst int, rec *obs.Recorder) int {
 	best := -1
 	bestDist := int32(-1)
 	for k, v := range s.nw.g.Out(u) {
-		if k == arc || v == u || !usable(k) {
+		if k == arc || v == u || !s.usable(u, first+k) {
 			continue
 		}
 		dv := dist[v*n+dst]
@@ -333,4 +340,12 @@ func (s *SelfHealing) routeArc(u, dst int, rec *obs.Recorder) int {
 		}
 	}
 	return best
+}
+
+// usable reports whether node u may transmit on its flat out-arc f:
+// not quarantined, and not believed down.
+//
+//lint:hotpath
+func (s *SelfHealing) usable(u, f int) bool {
+	return !s.quarantined[f] && !s.heal.believedDown(u, f)
 }

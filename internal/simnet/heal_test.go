@@ -1,6 +1,9 @@
 package simnet
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/debruijn"
@@ -30,6 +33,15 @@ func allPairsWorkload(n int) []Packet {
 	}
 	return pkts
 }
+
+// epochRouter routes by one epoch's slab through the engine's own
+// lookup: the epoch's patch over the session's pristine base.
+type epochRouter struct {
+	h     *healState
+	epoch int
+}
+
+func (r epochRouter) NextArc(u, dst int) int { return r.h.slabArc(r.epoch, u, dst, nil) }
 
 func TestSelfHealingMatchesOmniscientEverySingleArcFaultB33(t *testing.T) {
 	g := debruijn.DeBruijn(3, 3)
@@ -99,10 +111,11 @@ func TestSelfHealingMatchesOmniscientEverySingleArcFaultB33(t *testing.T) {
 			}
 
 			// The converged slab must be the omniscient one: the final
-			// epoch's repaired router equals a from-scratch build on the
-			// residual digraph, entry for entry.
+			// epoch's routing, read through the patch lookup the engine
+			// uses, equals a from-scratch build on the residual digraph,
+			// entry for entry.
 			if res2.FinalEpoch > 0 {
-				healed := session.heal.routerFor(res2.FinalEpoch, nil)
+				healed := epochRouter{session.heal, res2.FinalEpoch}
 				repairedEqualsScratch(t, g, healed, session.BelievedDown())
 			}
 		}
@@ -273,5 +286,66 @@ func TestSelfHealingQuarantineStopsTraffic(t *testing.T) {
 	}
 	if got := session.Quarantined(); len(got) != 1 || got[0] != target {
 		t.Fatalf("Quarantined() = %v, want [%v]", got, target)
+	}
+}
+
+// TestSelfHealingRejectsOutOfRangeMonitorArc: a monitor that
+// quarantines or releases an arc the digraph does not have makes Run
+// fail with an error naming the arc.
+func TestSelfHealingRejectsOutOfRangeMonitorArc(t *testing.T) {
+	g := debruijn.DeBruijn(2, 3)
+	for _, bad := range []Arc{{Tail: g.N(), Index: 0}, {Tail: 1, Index: g.OutDegree(1)}, {Tail: -1, Index: 0}} {
+		nw := tableNet(t, g)
+		session, err := nw.SelfHeal(nil, HealConfig{Monitor: &quarMonitor{arc: bad}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = session.Run(allPairsWorkload(g.N()))
+		want := fmt.Sprintf("monitor arc (%d#%d) out of range", bad.Tail, bad.Index)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("quarantine of %v: err = %v, want one containing %q", bad, err, want)
+		}
+	}
+}
+
+// TestSelfHealingEpochStateBounded: a long-lived session under the
+// session service's chaos (B(2,8), 2 faults per 1000 cycles over a
+// 2^16-cycle horizon) runs 300 Runs of 64 uniform packets. Accounting
+// stays exact on every Run, and each built epoch holds a sparse patch
+// over the shared base slab, not a copy of it: the mean bytes per built
+// epoch stay under n²/8, where a cloned slab would hold n².
+func TestSelfHealingEpochStateBounded(t *testing.T) {
+	g := debruijn.DeBruijn(2, 8)
+	n := g.N()
+	plan := serveChaosPlan(rand.New(rand.NewSource(1)), g, 2, 1<<16, false)
+	nw := tableNet(t, g)
+	session, err := nw.SelfHeal(plan, HealConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 300; run++ {
+		pkts := UniformRandom(n, 64, int64(run))
+		res, err := session.Run(pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delivered+res.Dropped+res.Shed != len(pkts) {
+			t.Fatalf("run %d: delivered %d + dropped %d + shed %d != offered %d", run, res.Delivered, res.Dropped, res.Shed, len(pkts))
+		}
+	}
+	built, bytes := 0, 0
+	for _, p := range session.heal.patches {
+		if p != nil {
+			built++
+			bytes += patchBytes(p)
+		}
+	}
+	if built == 0 {
+		t.Fatal("no epoch slab was built; the session saw no fault")
+	}
+	mean := bytes / built
+	t.Logf("%d epochs built, %d patch bytes in all, %d per epoch", built, bytes, mean)
+	if limit := n * n / 8; mean >= limit {
+		t.Fatalf("built epochs hold %d bytes each on average, want < n²/8 = %d", mean, limit)
 	}
 }

@@ -37,50 +37,64 @@ import (
 // those columns, with the dead arcs masked, and keeps the others
 // verbatim, so the patched slab is bit-identical to what NewTableRouter
 // would build on the residual digraph.
+//
+// The sweep's output is kept as a sparse patch (slabPatch): each
+// refilled column is compared with the base slab, and only the entries
+// that differ are recorded, CSR by row. A self-healing session keeps
+// one patch per epoch and reads the shared base slab under it, so an
+// epoch costs the size of its diff, not n² bytes; Repair itself is a
+// copy of the base with the patch applied.
 
 // Repair returns a TableRouter equal to NewTableRouter on the residual
 // digraph of g minus the dead arcs, patching only the destinations
 // whose routing tree traverses a dead arc. The receiver must be the
-// slab NewTableRouter built for g; it is not modified.
+// slab NewTableRouter built for g; it is not modified. The result is
+// the receiver's slab with the sparse patch of repairPatch applied.
 func (r *TableRouter) Repair(g *digraph.Digraph, dead []Arc) (*TableRouter, error) {
+	p, err := r.repairPatch(newTableCSR(g), g, dead)
+	if err != nil {
+		return nil, err
+	}
+	out := &TableRouter{n: r.n, arcs: slices.Clone(r.arcs), wide: slices.Clone(r.wide)}
+	p.apply(out)
+	return out, nil
+}
+
+// repairPatch computes what Repair changes: it refills the affected
+// destination columns over the digraph minus the dead arcs (c is g's
+// newTableCSR) and keeps only the entries that differ from r. A dead
+// set that touches no routing tree (empty, or loops only) yields an
+// empty patch.
+func (r *TableRouter) repairPatch(c *tableCSR, g *digraph.Digraph, dead []Arc) (*slabPatch, error) {
 	n := g.N()
 	if r == nil || r.n != n {
 		return nil, fmt.Errorf("simnet: Repair: router built for %d nodes, digraph has %d", routerN(r), n)
 	}
 	guardIndexInt32(n, "nodes")
-	c := newTableCSR(g)
-	deadMask := make([]bool, g.M())
 	for _, a := range dead {
 		if a.Tail < 0 || a.Tail >= n || a.Index < 0 || a.Index >= g.OutDegree(a.Tail) {
 			return nil, fmt.Errorf("simnet: Repair: dead arc (%d#%d) out of range", a.Tail, a.Index)
 		}
-		deadMask[int(c.fwdBase[a.Tail])+a.Index] = true
 	}
-
-	// Patch whichever layout the base router carries: int8 on every
-	// graph whose out-degrees fit, the layout the run loop gathers from.
-	out := &TableRouter{n: n}
-	narrow := r.arcs != nil
-	if narrow {
-		out.arcs = slices.Clone(r.arcs)
-	} else {
-		out.wide = slices.Clone(r.wide)
-	}
-
 	affected := make([]bool, n)
 	count := 0
 	for _, a := range dead {
 		if g.Out(a.Tail)[a.Index] == a.Tail {
 			continue // loops never carry shortest paths
 		}
-		if narrow {
+		if r.arcs != nil {
 			count += markAffected(r.arcs[a.Tail*n:(a.Tail+1)*n], int8(a.Index), affected)
 		} else {
 			count += markAffected(r.wide[a.Tail*n:(a.Tail+1)*n], int32(a.Index), affected)
 		}
 	}
+	p := &slabPatch{}
 	if count == 0 {
-		return out, nil
+		return p, nil
+	}
+	deadMask := make([]bool, g.M())
+	for _, a := range dead {
+		deadMask[int(c.fwdBase[a.Tail])+a.Index] = true
 	}
 	dsts := make([]int32, 0, count)
 	for dst, hit := range affected {
@@ -88,8 +102,69 @@ func (r *TableRouter) Repair(g *digraph.Digraph, dead []Arc) (*TableRouter, erro
 			dsts = append(dsts, int32(dst))
 		}
 	}
-	out.fill(c, dsts, deadMask)
-	return out, nil
+	// Patch whichever layout the base router carries: int8 on every
+	// graph whose out-degrees fit, the layout the run loop gathers from.
+	if r.arcs != nil {
+		p.rowOff, p.dst, p.arcs = diffColumns(r.arcs, n, c, dsts, deadMask)
+	} else {
+		p.rowOff, p.dst, p.wide = diffColumns(r.wide, n, c, dsts, deadMask)
+	}
+	return p, nil
+}
+
+// slabPatch is a repaired slab held as a sparse diff over the pristine
+// TableRouter it was repaired from: only the (u, dst) entries whose arc
+// differs, CSR by row. Row u's destinations are dst[rowOff[u]:
+// rowOff[u+1]], ascending, and their repaired arcs sit at the same
+// positions of arcs (the int8 layout) or wide (int32). An empty patch
+// holds no storage, not even a row index.
+type slabPatch struct {
+	rowOff, dst []int32
+	arcs        []int8
+	wide        []int32
+}
+
+// lookup returns the patched arc of (u, dst); ok is false when the
+// pair keeps the base slab's arc. It runs on every self-healed
+// departure at a nonzero epoch.
+//
+//lint:hotpath
+func (p *slabPatch) lookup(u, dst int) (arc int, ok bool) {
+	if p.rowOff == nil {
+		return 0, false
+	}
+	lo, end := int(p.rowOff[u]), int(p.rowOff[u+1])
+	for hi := end; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if int(p.dst[mid]) < dst {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == end || int(p.dst[lo]) != dst {
+		return 0, false
+	}
+	if p.arcs != nil {
+		return int(p.arcs[lo]), true
+	}
+	return int(p.wide[lo]), true
+}
+
+// apply writes the patch into r, a copy of the base slab.
+func (p *slabPatch) apply(r *TableRouter) {
+	if p.rowOff == nil {
+		return
+	}
+	for u := 0; u < r.n; u++ {
+		for i := p.rowOff[u]; i < p.rowOff[u+1]; i++ {
+			if r.arcs != nil {
+				r.arcs[u*r.n+int(p.dst[i])] = p.arcs[i]
+			} else {
+				r.wide[u*r.n+int(p.dst[i])] = p.wide[i]
+			}
+		}
+	}
 }
 
 // markAffected marks every destination whose routing row forwards over
@@ -166,7 +241,10 @@ type fillScratch[T int8 | int32] struct {
 	queued             []bool // u is in touched
 }
 
-func fillColumns[T int8 | int32](slab []T, n int, c *tableCSR, dsts []int32, dead []bool) {
+// sweepColumns runs fillTable over dsts in blocks of up to 64 and hands
+// each finished block to emit, which reads row u of the block from
+// s.blk[u*64 : u*64+len(block)].
+func sweepColumns[T int8 | int32](n int, c *tableCSR, dsts []int32, dead []bool, emit func(block []int32, s *fillScratch[T])) {
 	s := &fillScratch[T]{
 		blk:     make([]T, n*64),
 		seen:    make([]uint64, n),
@@ -180,8 +258,67 @@ func fillColumns[T int8 | int32](slab []T, n int, c *tableCSR, dsts []int32, dea
 	for len(dsts) > 0 {
 		block := dsts[:min(len(dsts), 64)]
 		dsts = dsts[len(block):]
-		fillTable(slab, n, block, c, dead, s)
+		fillTable(n, block, c, dead, s)
+		emit(block, s)
 	}
+}
+
+// fillColumns writes the slab columns of dsts.
+func fillColumns[T int8 | int32](slab []T, n int, c *tableCSR, dsts []int32, dead []bool) {
+	sweepColumns(n, c, dsts, dead, func(block []int32, s *fillScratch[T]) {
+		w := len(block)
+		contiguous := int(block[w-1]-block[0]) == w-1 // dsts ascend
+		for u := 0; u < n; u++ {
+			src := s.blk[u*64 : u*64+w]
+			row := slab[u*n : u*n+n]
+			if contiguous {
+				copy(row[block[0]:], src)
+				continue
+			}
+			for j, dst := range block {
+				row[dst] = src[j]
+			}
+		}
+	})
+}
+
+// diffColumns refills the columns of dsts and returns, CSR by row, the
+// entries that differ from base: row u's destinations and arcs are
+// dst[rowOff[u]:rowOff[u+1]] and arcs[rowOff[u]:rowOff[u+1]], with
+// destinations ascending. rowOff is nil when nothing differs. The
+// refilled columns are gathered row-major first, so the comparison
+// reads each base row once, in ascending order, instead of once per
+// block at scattered positions.
+func diffColumns[T int8 | int32](base []T, n int, c *tableCSR, dsts []int32, dead []bool) (rowOff, dst []int32, arcs []T) {
+	guardIndexInt32(n, "nodes")
+	k := len(dsts)
+	cols := make([]T, n*k) // cols[u*k+i]: u's refilled arc toward dsts[i]
+	at := 0
+	sweepColumns(n, c, dsts, dead, func(block []int32, s *fillScratch[T]) {
+		for u := 0; u < n; u++ {
+			copy(cols[u*k+at:], s.blk[u*64:u*64+len(block)])
+		}
+		at += len(block)
+	})
+	rowOff = make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		row, fresh := base[u*n:u*n+n], cols[u*k:u*k+k]
+		fresh = fresh[:len(dsts)] // lets the compiler drop fresh's bounds check
+		for i, d := range dsts {
+			if fresh[i] != row[d] {
+				dst = append(dst, d)
+				arcs = append(arcs, fresh[i])
+			}
+		}
+		guardIndexInt32(len(dst), "patch entries")
+		rowOff[u+1] = int32(len(dst))
+	}
+	if len(dst) == 0 {
+		return nil, nil, nil
+	}
+	// Copy out of the append growth so a patch held for the session's
+	// lifetime holds only its entries.
+	return rowOff, slices.Clone(dst), slices.Clone(arcs)
 }
 
 // fillTable writes the slab columns of up to 64 destinations with one
@@ -190,13 +327,14 @@ func fillColumns[T int8 | int32](slab []T, n int, c *tableCSR, dsts []int32, dea
 // order, and each destination whose frontier first reaches u over arc
 // k gets k, unless a later arc's head is in the same destination's
 // frontier too, which tieBreak settles. The sweep writes into the
-// cache-resident s.blk and copies it into the slab row by row at the
-// end, -1 for unreached pairs and the diagonal. It runs once per block
+// cache-resident s.blk and leaves the block there, -1 for unreached
+// pairs and the diagonal, for sweepColumns' caller to copy into a slab
+// or diff against one. It runs once per block
 // of every build and repair, so it must not allocate: s arrives sized,
 // and s.seen, s.front and s.queued are all zero on entry and on return.
 //
 //lint:hotpath
-func fillTable[T int8 | int32](slab []T, n int, dsts []int32, c *tableCSR, dead []bool, s *fillScratch[T]) {
+func fillTable[T int8 | int32](n int, dsts []int32, c *tableCSR, dead []bool, s *fillScratch[T]) {
 	w := len(dsts)
 	full := ^uint64(0) >> (64 - w)
 	cur, next, touched := s.cur[:0], s.next[:0], s.touched[:0]
@@ -252,24 +390,15 @@ func fillTable[T int8 | int32](slab []T, n int, dsts []int32, c *tableCSR, dead 
 		}
 		cur, next = next, cur
 	}
-	contiguous := int(dsts[w-1]-dsts[0]) == w-1 // dsts ascend
+	for j, dst := range dsts {
+		s.blk[int(dst)*64+j] = -1
+	}
 	for u := 0; u < n; u++ {
 		src := s.blk[u*64 : u*64+w]
 		for miss := full &^ s.seen[u]; miss != 0; miss &= miss - 1 {
 			src[bits.TrailingZeros64(miss)] = -1
 		}
 		s.seen[u] = 0
-		row := slab[u*n : u*n+n]
-		if contiguous {
-			copy(row[dsts[0]:], src)
-			continue
-		}
-		for j, dst := range dsts {
-			row[dst] = src[j]
-		}
-	}
-	for _, dst := range dsts {
-		slab[int(dst)*n+int(dst)] = -1
 	}
 }
 

@@ -36,7 +36,7 @@ func residualDigraph(g *digraph.Digraph, dead []Arc) *digraph.Digraph {
 // adjacency positions, so the comparison translates: for every pair the
 // two routers must pick the same physical arc (same flat position among
 // survivors), not merely the same head.
-func repairedEqualsScratch(t *testing.T, g *digraph.Digraph, got *TableRouter, dead []Arc) {
+func repairedEqualsScratch(t *testing.T, g *digraph.Digraph, got Router, dead []Arc) {
 	t.Helper()
 	residual := residualDigraph(g, dead)
 	want := NewTableRouter(residual)

@@ -94,7 +94,26 @@ func BenchmarkReferencePermutationRun(b *testing.B) {
 // kernel-b37 fault plan).
 func BenchmarkTableRouter(b *testing.B) {
 	benchTableFill(b, NewTableRouter, (*TableRouter).Repair)
+	// The sparse patch alone: what a self-healing session builds and
+	// keeps per epoch.
+	g := debruijn.DeBruijn(3, 7)
+	base := NewTableRouter(g)
+	dead := []Arc{busiestArc(g, base)}
+	c := newTableCSR(g)
+	b.Run("patch/B(3,7)", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := base.repairPatch(c, g, dead)
+			if err != nil {
+				b.Fatal(err)
+			}
+			patchSink = p
+		}
+	})
 }
+
+// patchSink keeps the benchmarked patches from being optimized away.
+var patchSink *slabPatch
 
 // BenchmarkReferenceTableRouter runs the same two fills through the
 // frozen per-destination BFS (table_reference_test.go), so the sweep's

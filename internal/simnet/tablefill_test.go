@@ -139,7 +139,8 @@ func randomDeadSets(rng *rand.Rand, g *digraph.Digraph, trials int) [][]Arc {
 }
 
 // checkAgainstReference asserts NewTableRouter(g) and Repair over each
-// dead set DeepEqual the frozen reference.
+// dead set, and over the empty one, DeepEqual the frozen reference, and
+// that the sparse patch behind each repair reproduces it too.
 func checkAgainstReference(t *testing.T, name string, g *digraph.Digraph, deadSets [][]Arc) {
 	t.Helper()
 	want := refTableRouter(g)
@@ -147,7 +148,8 @@ func checkAgainstReference(t *testing.T, name string, g *digraph.Digraph, deadSe
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: NewTableRouter differs from the reference BFS", name)
 	}
-	for _, dead := range deadSets {
+	c := newTableCSR(g)
+	for _, dead := range append(deadSets, nil) {
 		wantR, err := refRepair(want, g, dead)
 		if err != nil {
 			t.Fatalf("%s dead %v: reference: %v", name, dead, err)
@@ -159,6 +161,58 @@ func checkAgainstReference(t *testing.T, name string, g *digraph.Digraph, deadSe
 		if !reflect.DeepEqual(gotR, wantR) {
 			t.Fatalf("%s dead %v: Repair differs from the reference", name, dead)
 		}
+		p, err := got.repairPatch(c, g, dead)
+		if err != nil {
+			t.Fatalf("%s dead %v: %v", name, dead, err)
+		}
+		checkPatch(t, fmt.Sprintf("%s dead %v", name, dead), g, got, p, wantR, dead)
+	}
+}
+
+// patchBytes returns the bytes patch p holds.
+func patchBytes(p *slabPatch) int {
+	return 4*(len(p.rowOff)+len(p.dst)+len(p.wide)) + len(p.arcs)
+}
+
+// checkPatch asserts that patch p over base reads like want for every
+// pair, through the lookup the self-healing engine uses; that it holds
+// only entries differing from base, in ascending destination order per
+// row; and that a dead set of loops only (or none) gives an empty patch
+// with no row index.
+func checkPatch(t *testing.T, tag string, g *digraph.Digraph, base *TableRouter, p *slabPatch, want *TableRouter, dead []Arc) {
+	t.Helper()
+	n := g.N()
+	for u := 0; u < n; u++ {
+		for dst := 0; dst < n; dst++ {
+			arc, ok := p.lookup(u, dst)
+			if !ok {
+				arc = base.NextArc(u, dst)
+			} else if arc == base.NextArc(u, dst) {
+				t.Fatalf("%s: patch holds (%d,%d) = %d, unchanged from the base", tag, u, dst, arc)
+			}
+			if arc != want.NextArc(u, dst) {
+				t.Fatalf("%s: base+patch (%d,%d) = %d, reference %d", tag, u, dst, arc, want.NextArc(u, dst))
+			}
+		}
+	}
+	if p.rowOff != nil {
+		for u := 0; u < n; u++ {
+			for i := p.rowOff[u] + 1; i < p.rowOff[u+1]; i++ {
+				if p.dst[i] <= p.dst[i-1] {
+					t.Fatalf("%s: row %d destinations not ascending", tag, u)
+				}
+			}
+		}
+		if int(p.rowOff[n]) != len(p.dst) || len(p.arcs)+len(p.wide) != len(p.dst) {
+			t.Fatalf("%s: patch CSR lengths disagree", tag)
+		}
+	}
+	loopsOnly := true
+	for _, a := range dead {
+		loopsOnly = loopsOnly && g.Out(a.Tail)[a.Index] == a.Tail
+	}
+	if loopsOnly && (p.rowOff != nil || patchBytes(p) != 0) {
+		t.Fatalf("%s: loops-only dead set built a %d-byte patch, want an empty one", tag, patchBytes(p))
 	}
 }
 
